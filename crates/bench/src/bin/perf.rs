@@ -6,10 +6,11 @@
 //! versus the current one. For extraction and training the seed is
 //! dense `O(|E|)` extraction on one thread versus sparse extraction on
 //! `--threads` workers; for evaluation the seed additionally scores
-//! through the autograd tape, while the current pipeline uses the
-//! batched candidate-ranking engine ([`dekg_core::ScoringPath`]) — a
-//! separate `batched` section isolates that engine's win over the
-//! per-candidate forward-only path, and a `serve` section boots the
+//! each candidate through the autograd tape
+//! ([`dekg_core::reference::TapeReference`]), while the current
+//! pipeline uses the batched candidate-ranking engine — a separate
+//! `batched` section isolates that engine's win over the tape at the
+//! same extraction backend and thread count, and a `serve` section boots the
 //! `dekg serve` daemon to split its one-time startup cost from warm
 //! per-request latency. Every timed pair is also checked for identical
 //! output, so the speedups are measured against a bit-equal baseline,
@@ -24,7 +25,8 @@
 //! numbers relate to the paper's Table IV, and `DESIGN.md` for why the
 //! parallel pipeline is bitwise-deterministic.
 
-use dekg_core::{DekgIlp, DekgIlpConfig, InferenceGraph, ScoringPath, TrainableModel};
+use dekg_core::reference::TapeReference;
+use dekg_core::{DekgIlp, DekgIlpConfig, InferenceGraph, TrainableModel};
 use dekg_datasets::{
     generate, item_rng, loader, DatasetProfile, DekgDataset, MixRatio, RawKg, SplitKind,
     SynthConfig, TestMix,
@@ -362,7 +364,7 @@ fn time_serve(opts: &Opts) -> ServeSection {
 
     // The query set: tail-ranking the first held-out enclosing links,
     // with the expected reply reconstructed through the same library
-    // entry points `dekg evaluate --scoring batched` uses.
+    // entry points `dekg evaluate` uses.
     let links = served.test_enclosing.len().min(12);
     // Cheap probe queries: the section measures serving overhead (HTTP,
     // admission batching, warm workspaces), so a small candidate set
@@ -567,15 +569,16 @@ struct Report {
     epochs: usize,
     /// Worker threads actually available on this machine — on a 1-core
     /// host the parallel numbers measure overhead, and the speedups
-    /// below come from the forward-only scoring path and the sparse
+    /// below come from the batched scoring engine and the sparse
     /// extraction backend, not from threads.
     available_parallelism: usize,
     extraction: Section,
     train_epoch: Section,
     eval: Section,
-    /// The batched candidate-ranking engine against the per-candidate
-    /// forward-only pipeline — isolates what block-diagonal packing and
-    /// BFS reuse add on top of dropping the tape.
+    /// The batched candidate-ranking engine against per-candidate tape
+    /// scoring at the same (sparse) extraction backend and thread count
+    /// — isolates what the engine itself (forward-only kernels,
+    /// block-diagonal packing, BFS reuse) adds.
     batched: Section,
     /// Static tape analysis overhead: cold vs cache-served, relative to
     /// the cost of recording the tape itself.
@@ -652,12 +655,14 @@ fn time_train_epoch(dataset: &DekgDataset, opts: &Opts) -> Section {
 }
 
 /// Full filtered-ranking evaluation, three ways: the seed pipeline
-/// (tape scoring, dense extraction, serial), the per-candidate
-/// forward-only pipeline, and the batched candidate-ranking engine.
+/// (per-candidate tape scoring, dense extraction, serial), the same
+/// tape scoring at sparse extraction on `threads` workers, and the
+/// batched candidate-ranking engine.
 ///
 /// Returns the headline section (seed vs batched), the `batched`
-/// section isolating the batched engine's own win over the
-/// per-candidate forward path, the query count and the batched result.
+/// section isolating the batched engine's own win over the tape at
+/// equal extraction and threads, the query count and the batched
+/// result.
 fn time_eval(
     dataset: &DekgDataset,
     graph: &InferenceGraph,
@@ -676,44 +681,38 @@ fn time_eval(
     // dense extraction, one thread.
     protocol.threads = 1;
     model.set_distance_backend(DistanceBackend::DenseReference);
-    model.set_scoring_path(ScoringPath::TapeReference);
-    let base = evaluate(&model, graph, dataset, &mix, &protocol);
+    let base = evaluate(&TapeReference::new(&model), graph, dataset, &mix, &protocol);
 
-    // Per-candidate forward-only scoring, sparse extraction, N threads
-    // (the previous "current" pipeline).
+    // Tape scoring, sparse extraction, N threads: the `batched`
+    // section's baseline.
     protocol.threads = opts.threads;
     model.set_distance_backend(DistanceBackend::Sparse);
-    model.set_scoring_path(ScoringPath::Inference);
-    let per_candidate = evaluate(&model, graph, dataset, &mix, &protocol);
+    let tape = evaluate(&TapeReference::new(&model), graph, dataset, &mix, &protocol);
 
     // Current: the batched candidate-ranking engine.
-    model.set_scoring_path(ScoringPath::Batched);
     let batched = evaluate(&model, graph, dataset, &mix, &protocol);
 
     let metrics_eq = |a: &EvalResult, b: &EvalResult| {
         a.overall == b.overall && a.enclosing == b.enclosing && a.bridging == b.bridging
     };
+    let current = || Timed {
+        backend: "batched+sparse".into(),
+        threads: opts.threads,
+        seconds: batched.timing.wall_seconds,
+    };
     let eval_section = section(
         Timed { backend: "tape+dense".into(), threads: 1, seconds: base.timing.wall_seconds },
-        Timed {
-            backend: "batched+sparse".into(),
-            threads: opts.threads,
-            seconds: batched.timing.wall_seconds,
-        },
+        current(),
         metrics_eq(&base, &batched),
     );
     let batched_section = section(
         Timed {
-            backend: "inference+sparse".into(),
+            backend: "tape+sparse".into(),
             threads: opts.threads,
-            seconds: per_candidate.timing.wall_seconds,
+            seconds: tape.timing.wall_seconds,
         },
-        Timed {
-            backend: "batched+sparse".into(),
-            threads: opts.threads,
-            seconds: batched.timing.wall_seconds,
-        },
-        metrics_eq(&per_candidate, &batched),
+        current(),
+        metrics_eq(&tape, &batched),
     );
     let queries = batched.timing.queries;
     (eval_section, batched_section, queries, batched)
@@ -1077,8 +1076,9 @@ fn main() {
         result.timing.queries_per_second
     );
     println!(
-        "  batched engine vs per-candidate: {:.2}s -> {:.2}s  speedup {:.2}x  \
+        "  batched engine vs tape (sparse/{}t): {:.2}s -> {:.2}s  speedup {:.2}x  \
          identical metrics: {}",
+        opts.threads,
         batched.baseline.seconds,
         batched.current.seconds,
         batched.speedup,

@@ -23,7 +23,7 @@ commands:
   train     --data DIR [--check] [--tape-report] [--epochs N] [--dim N] [--seed N]
             [--gradcheck-every N] [--threads N] --ckpt FILE [observability flags]
   evaluate  --data DIR --ckpt FILE [--candidates N] [--split eq|mb|me] [--seed N]
-            [--threads N] [--scoring batched|per-candidate|tape] [observability flags]
+            [--threads N] [observability flags]
   predict   --data DIR --ckpt FILE --rel NAME (--head NAME | --tail NAME) [--top N]
   serve     --data DIR --ckpt FILE [--addr HOST:PORT] [--workers N] [--max-batch N]
             [--max-wait-ms N] [--queue-depth N] [--slow-ms N] [--port-file FILE]
@@ -405,12 +405,7 @@ fn restore(flags: &Flags, dataset: &DekgDataset) -> Result<DekgIlp, Box<dyn std:
 pub fn evaluate(flags: &Flags) -> CliResult {
     obs_init(flags)?;
     let dataset = load_dataset(flags)?;
-    let mut model = restore(flags, &dataset)?;
-    if let Some(s) = flags.get("scoring") {
-        let path = dekg_core::ScoringPath::parse(s)
-            .ok_or_else(|| format!("unknown scoring path {s:?} (batched|per-candidate|tape)"))?;
-        model.set_scoring_path(path);
-    }
+    let model = restore(flags, &dataset)?;
     let split = match flags.get("split") {
         Some(s) => parse_split(s)?,
         None => SplitKind::Eq,

@@ -186,18 +186,39 @@ impl DekgIlpConfig {
     /// # Panics
     /// On out-of-range values; called by the model constructor.
     pub fn validate(&self) {
-        assert!(self.dim > 0, "dim must be positive");
-        assert!(self.lr > 0.0, "lr must be positive");
-        assert!(self.epochs > 0, "epochs must be positive");
-        assert!(self.batch_size > 0, "batch_size must be positive");
-        assert!(self.margin >= 0.0, "margin must be non-negative");
-        assert!(self.sigma >= 0.0, "sigma must be non-negative");
-        assert!(self.theta >= 1.0, "theta must be ≥ 1 (count range [1, m_i·θ])");
-        assert!(self.neg_per_pos > 0, "need at least one negative per positive");
-        assert!((0.0..1.0).contains(&self.edge_dropout), "edge_dropout in [0,1)");
-        assert!(self.hops > 0 && self.gnn_layers > 0 && self.attn_dim > 0);
-        assert!(self.grad_clip > 0.0);
-        assert!(self.lr_decay > 0.0 && self.lr_decay <= 1.0, "lr_decay must be in (0, 1]");
+        if let Err(e) = self.try_validate() {
+            panic!("{e}");
+        }
+    }
+
+    /// The fallible form of [`DekgIlpConfig::validate`], for configs
+    /// read from outside the program (checkpoint sidecars).
+    ///
+    /// # Errors
+    /// A message naming the first out-of-range field.
+    pub(crate) fn try_validate(&self) -> Result<(), String> {
+        let rules: [(bool, &str); 13] = [
+            (self.dim > 0, "dim must be positive"),
+            (self.lr > 0.0, "lr must be positive"),
+            (self.epochs > 0, "epochs must be positive"),
+            (self.batch_size > 0, "batch_size must be positive"),
+            (self.margin >= 0.0, "margin must be non-negative"),
+            (self.sigma >= 0.0, "sigma must be non-negative"),
+            (self.theta >= 1.0, "theta must be ≥ 1 (count range [1, m_i·θ])"),
+            (self.neg_per_pos > 0, "need at least one negative per positive"),
+            ((0.0..1.0).contains(&self.edge_dropout), "edge_dropout in [0,1)"),
+            (
+                self.hops > 0 && self.gnn_layers > 0 && self.attn_dim > 0,
+                "hops, gnn_layers and attn_dim must be positive",
+            ),
+            (self.grad_clip > 0.0, "grad_clip must be positive"),
+            (self.lr_decay > 0.0 && self.lr_decay <= 1.0, "lr_decay must be in (0, 1]"),
+            (self.num_bases != Some(0), "num_bases must be positive"),
+        ];
+        match rules.iter().find(|(ok, _)| !ok) {
+            Some((_, msg)) => Err((*msg).to_owned()),
+            None => Ok(()),
+        }
     }
 }
 

@@ -152,51 +152,16 @@ impl Gsm {
         (g, out)
     }
 
-    /// Scores many subgraphs through the forward-only encoder — no
-    /// autograd tape at all. Bitwise identical to
-    /// [`Gsm::score_subgraphs_eval`] (same kernels, same op order; see
-    /// [`dekg_gnn::SubgraphEncoder::encode_inference`]) but skips the
-    /// tape's node bookkeeping, which dominates evaluation cost.
-    pub fn score_subgraphs_inference(
-        &self,
-        params: &ParamStore,
-        items: &[(&Subgraph, dekg_kg::RelationId)],
-    ) -> Vec<f32> {
-        let rel_tpo = params.get(self.rel_tpo);
-        let w = params.get(self.w_out).data();
-        let d = self.dim;
-        let mut cat = vec![0.0f32; 4 * d];
-        // The r^tpo block of `cat` only changes when the relation does —
-        // constant across a ranking query's candidates, so skip the
-        // per-candidate re-copy.
-        let mut cur_rel: Option<usize> = None;
-        items
-            .iter()
-            .map(|(sg, rel)| {
-                let enc = self.encoder.encode_inference(params, sg);
-                cat[..d].copy_from_slice(&enc.graph);
-                cat[d..2 * d].copy_from_slice(&enc.head);
-                cat[2 * d..3 * d].copy_from_slice(&enc.tail);
-                if cur_rel != Some(rel.index()) {
-                    cat[3 * d..].copy_from_slice(rel_tpo.row(rel.index()));
-                    cur_rel = Some(rel.index());
-                }
-                let mut out = [0.0f32];
-                kernels::matmul(&cat, w, &mut out, 1, 4 * d, 1);
-                out[0]
-            })
-            .collect()
-    }
-
     /// Scores a block-diagonal batch of subgraphs (`rels[i]` pairing
     /// with segment `i`) through the batched encoder, appending one
     /// score per segment to `out`.
     ///
-    /// Bitwise identical to [`Gsm::score_subgraphs_inference`] over the
-    /// same (subgraph, relation) pairs: the batched encoder is pinned
-    /// to the per-subgraph encoder segment by segment, and the final
+    /// Bitwise identical to [`Gsm::score_subgraphs_eval`] over the same
+    /// (subgraph, relation) pairs: the batched encoder is pinned to the
+    /// tape encoder segment by segment, and the final
     /// `[b, 4d] × [4d, 1]` readout matmul computes each row exactly as
-    /// the per-candidate `[1, 4d]` matmul does (rows are independent).
+    /// the tape's per-candidate `[1, 4d]` matmul does (rows are
+    /// independent).
     ///
     /// # Panics
     /// If `rels.len() != batch.num_graphs()`.
@@ -234,9 +199,9 @@ impl Gsm {
     /// relation-prediction fast path, where every candidate shares the
     /// same enclosing subgraph. Encodes once and appends one score per
     /// relation to `out`, each bitwise identical to scoring
-    /// `(sg, rels[i])` through [`Gsm::score_subgraphs_inference`]
-    /// (which would re-encode the identical subgraph per candidate and
-    /// get the identical encoding back).
+    /// `(sg, rels[i])` through [`Gsm::score_subgraphs_eval`] (which
+    /// would re-encode the identical subgraph per candidate and get the
+    /// identical encoding back).
     pub fn score_subgraph_multi_rel(
         &self,
         params: &ParamStore,
@@ -393,9 +358,9 @@ mod tests {
 
     #[test]
     fn inference_scores_bitwise_match_tape_scores() {
-        // The eval protocol ranks with the forward-only path; if it
-        // drifted from the tape by even one ULP, rankings could differ
-        // between training-time probes and evaluation.
+        // The eval protocol ranks with the batched forward-only engine;
+        // if it drifted from the tape by even one ULP, rankings could
+        // differ between training-time probes and evaluation.
         for num_bases in [None, Some(2)] {
             let mut rng = ChaCha8Rng::seed_from_u64(11);
             let mut ps = ParamStore::new();
@@ -407,10 +372,20 @@ mod tests {
                 .iter()
                 .map(|&(h, t)| extractor.extract(EntityId(h), EntityId(t), None))
                 .collect();
+            let rels: Vec<RelationId> =
+                (0..sgs.len()).map(|i| RelationId((i % 3) as u32)).collect();
             let items: Vec<(&Subgraph, RelationId)> =
-                sgs.iter().enumerate().map(|(i, sg)| (sg, RelationId((i % 3) as u32))).collect();
+                sgs.iter().zip(rels.iter().copied()).collect();
             let tape = gsm.score_subgraphs_eval(&ps, &items);
-            let fast = gsm.score_subgraphs_inference(&ps, &items);
+            let mut ws = InferenceWorkspace::new();
+            let mut fast = Vec::new();
+            gsm.score_subgraphs_batched(
+                &ps,
+                &BatchedSubgraphs::pack(&sgs),
+                &rels,
+                &mut ws,
+                &mut fast,
+            );
             assert_eq!(tape, fast, "num_bases {num_bases:?}");
         }
     }

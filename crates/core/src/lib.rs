@@ -18,7 +18,8 @@
 //!   the "topological limitation" of bridging links (Eq. 8–11).
 //!
 //! [`model::DekgIlp`] wires the two together and [`train`] implements
-//! Algorithm 1. [`traits`] defines the [`traits::LinkPredictor`]
+//! Algorithm 1. [`mod@reference`] holds the tape-path scorer the batched
+//! engine is pinned against. [`traits`] defines the [`traits::LinkPredictor`]
 //! interface shared with every baseline in `dekg-baselines`.
 //!
 //! ```no_run
@@ -43,18 +44,19 @@ pub mod explain;
 pub mod gsm;
 pub mod model;
 pub mod profile;
+pub mod reference;
 pub mod train;
 pub mod traits;
 
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::config::{Ablation, DekgIlpConfig};
-    pub use crate::model::{DekgIlp, ScoringPath};
+    pub use crate::model::DekgIlp;
     pub use crate::traits::{InferenceGraph, LinkPredictor, TrainReport, TrainableModel};
 }
 
 pub use config::{Ablation, DekgIlpConfig};
-pub use model::{DekgIlp, ScoringPath};
+pub use model::DekgIlp;
 pub use profile::{profile_eval, profile_train, profile_train_outputs, ProfileReport};
 pub use train::{
     batch_loss, batch_loss_parts, grad_check_dataset, prepare_batch, record_prepared,

@@ -7,51 +7,14 @@ use crate::gsm::{Gsm, InferenceWorkspace};
 use crate::traits::{InferenceGraph, LinkPredictor, TrainReport, TrainableModel};
 use dekg_datasets::DekgDataset;
 use dekg_gnn::SubgraphEncoderConfig;
-use dekg_kg::{BatchedSubgraphs, DistanceBackend, EntityId, Subgraph, SubgraphExtractor, Triple};
+use dekg_kg::{BatchedSubgraphs, DistanceBackend, Subgraph, SubgraphExtractor, Triple};
 use dekg_tensor::{Graph, ParamStore};
 use rand::{RngCore, SeedableRng};
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-/// Which GSM implementation evaluation scoring runs through.
-///
-/// All paths produce bitwise-identical scores (a tested invariant);
-/// training always uses the tape, since it needs gradients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringPath {
-    /// The batched candidate-ranking engine — the default. Detects the
-    /// ranking-query structure of a batch (shared head, tail, or
-    /// endpoint pair), reuses the fixed endpoint's BFS across
-    /// candidates, packs candidate subgraphs block-diagonally and runs
-    /// the forward-only kernels over the pack (see
-    /// [`Gsm::score_subgraphs_batched`]). Falls back to per-candidate
-    /// [`ScoringPath::Inference`] scoring for batches with no shared
-    /// structure.
-    #[default]
-    Batched,
-    /// Forward-only kernels, one candidate at a time — no autograd
-    /// tape, no packing.
-    Inference,
-    /// Score through the autograd tape
-    /// ([`Gsm::score_subgraphs_eval`]) — the seed pipeline, kept as the
-    /// baseline the perf harness measures against.
-    TapeReference,
-}
-
-impl ScoringPath {
-    /// Parses a CLI-friendly name (`batched`, `per-candidate`, `tape`).
-    pub fn parse(s: &str) -> Option<ScoringPath> {
-        match s {
-            "batched" => Some(ScoringPath::Batched),
-            "per-candidate" | "inference" => Some(ScoringPath::Inference),
-            "tape" => Some(ScoringPath::TapeReference),
-            _ => None,
-        }
-    }
-}
-
-/// The structure [`ScoringPath::Batched`] detects in a score batch.
-/// Ranking queries produced by the eval protocol always share the
+/// The structure the batched engine detects in a score batch. Ranking
+/// queries produced by the eval protocol always share the
 /// non-predicted slots: `[truth, candidates…]` of a tail query share
 /// the head, of a head query the tail, of a relation query both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +25,8 @@ enum QueryShape {
     FixedHead,
     /// All triples share the tail; candidates vary the head.
     FixedTail,
-    /// No shared endpoint (training probes, ad-hoc batches).
+    /// No shared endpoint (training probes, serve `score` requests):
+    /// packed like an entity query, minus the BFS reuse.
     Mixed,
 }
 
@@ -82,9 +46,10 @@ impl QueryShape {
 }
 
 /// Handles for the batched-engine metrics. `batch_nodes` observes the
-/// packed node total once per scored query (summed across chunks, so
-/// the recorded value is invariant to the batch-size knob and thread
-/// count); the cache counters tally per-candidate BFS reuse.
+/// packed node total once per `score_batch` call, Mixed batches
+/// included (summed across chunks, so the recorded value is invariant
+/// to the batch-size knob and thread count); the cache counters tally
+/// per-candidate BFS reuse on entity queries.
 struct BatchedObs {
     bfs_cache_hits: dekg_obs::metrics::Counter,
     bfs_cache_misses: dekg_obs::metrics::Counter,
@@ -128,13 +93,9 @@ pub struct DekgIlp {
     /// both backends produce bit-identical subgraphs, so it is kept out
     /// of the serialized config (checkpoint `.json` stays stable).
     distance_backend: DistanceBackend,
-    /// GSM scoring implementation — runtime state like the extraction
-    /// backend, and kept out of the config for the same reason.
-    scoring_path: ScoringPath,
-    /// Candidates packed per block-diagonal batch on the
-    /// [`ScoringPath::Batched`] path. Scores are bitwise-invariant to
-    /// this knob (a tested invariant); it only trades peak memory
-    /// against packing amortization.
+    /// Candidates packed per block-diagonal batch. Scores are
+    /// bitwise-invariant to this knob (a tested invariant); it only
+    /// trades peak memory against packing amortization.
     eval_batch: usize,
 }
 
@@ -173,7 +134,6 @@ impl DekgIlp {
             gsm,
             num_relations,
             distance_backend: DistanceBackend::default(),
-            scoring_path: ScoringPath::default(),
             eval_batch: 64,
         }
     }
@@ -190,20 +150,7 @@ impl DekgIlp {
         self.distance_backend = backend;
     }
 
-    /// The GSM implementation evaluation scoring runs through.
-    pub fn scoring_path(&self) -> ScoringPath {
-        self.scoring_path
-    }
-
-    /// Switches the GSM scoring implementation.
-    /// [`ScoringPath::TapeReference`] is the seed pipeline, kept so the
-    /// perf harness can measure the forward-only path against an
-    /// identical-output baseline.
-    pub fn set_scoring_path(&mut self, path: ScoringPath) {
-        self.scoring_path = path;
-    }
-
-    /// Candidates packed per batch on the [`ScoringPath::Batched`] path.
+    /// Candidates packed per block-diagonal batch.
     pub fn eval_batch(&self) -> usize {
         self.eval_batch
     }
@@ -213,7 +160,7 @@ impl DekgIlp {
     /// packing and thread-dispatch layers peeled off. This is the entry
     /// point the allocation sanitizer drives (`perf --alloc-check`):
     /// once `ws` and `out` are warm, repeated calls must not touch the
-    /// heap. Scores match [`ScoringPath::Batched`] bitwise.
+    /// heap. Scores match [`LinkPredictor::score_batch`] bitwise.
     pub fn score_packed(
         &self,
         batch: &BatchedSubgraphs<'_>,
@@ -224,7 +171,7 @@ impl DekgIlp {
         self.gsm.score_subgraphs_batched(&self.params, batch, rels, ws, out);
     }
 
-    /// Sets the batched-path packing size. Clamped to at least 1.
+    /// Sets the packing size. Clamped to at least 1.
     /// Scores do not depend on this value — only peak memory and
     /// parallel grain do.
     pub fn set_eval_batch(&mut self, batch: usize) {
@@ -280,35 +227,45 @@ impl DekgIlp {
     /// [`DekgIlp::save_checkpoint`] on a model with the same
     /// configuration and relation space.
     ///
-    /// # Errors
-    /// IO failures or a corrupt/incompatible checkpoint.
+    /// Every parameter is checked before any is overwritten, so a
+    /// failed load leaves the model unchanged.
     ///
-    /// # Panics
-    /// If the checkpoint's parameter set does not match this model's
-    /// (different config/ablation) — mixing checkpoints across shapes
-    /// is a programming error, not a runtime condition.
+    /// # Errors
+    /// IO failures, a corrupt checkpoint, or one whose parameter set
+    /// does not match this model's (count, names or shapes — a
+    /// different config, ablation or relation space).
     pub fn load_checkpoint(
         &mut self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         let bytes = std::fs::read(path)?;
         let restored = dekg_tensor::serialize::decode(&bytes)?;
-        assert_eq!(
-            restored.len(),
-            self.params.len(),
-            "checkpoint has {} parameters, model expects {}",
-            restored.len(),
-            self.params.len()
-        );
+        if restored.len() != self.params.len() {
+            return Err(format!(
+                "checkpoint has {} parameters, model expects {}",
+                restored.len(),
+                self.params.len()
+            )
+            .into());
+        }
+        let mut ids = Vec::with_capacity(restored.len());
         for (_, name, value) in restored.iter() {
             let id = self
                 .params
                 .id_of(name)
-                .unwrap_or_else(|| panic!("checkpoint parameter {name:?} unknown to this model"));
-            assert!(
-                self.params.get(id).shape().same_as(value.shape()),
-                "shape mismatch for {name:?}"
-            );
+                .ok_or_else(|| format!("checkpoint parameter {name:?} unknown to this model"))?;
+            let expected = self.params.get(id).shape();
+            if !expected.same_as(value.shape()) {
+                return Err(format!(
+                    "shape mismatch for {name:?}: checkpoint {:?}, model {:?}",
+                    value.shape().dims(),
+                    expected.dims()
+                )
+                .into());
+            }
+            ids.push(id);
+        }
+        for (id, (_, _, value)) in ids.into_iter().zip(restored.iter()) {
             *self.params.get_mut(id) = value.clone();
         }
         Ok(())
@@ -325,11 +282,9 @@ impl DekgIlp {
     /// the `dekg serve` daemon's hot-swap path).
     ///
     /// # Errors
-    /// IO failures, a malformed config, or a corrupt checkpoint.
-    ///
-    /// # Panics
-    /// If the weights file does not match the architecture its own
-    /// `.json` describes (a mismatched pair is a programming error).
+    /// IO failures, a malformed or out-of-range config, a corrupt
+    /// checkpoint, or a weights file that does not match the
+    /// architecture its own `.json` describes.
     pub fn restore(
         path: &str,
         dataset: &DekgDataset,
@@ -339,13 +294,15 @@ impl DekgIlp {
             .map_err(|e| format!("reading model config {cfg_path}: {e}"))?;
         let cfg: DekgIlpConfig = serde_json::from_str(&cfg_text)
             .map_err(|e| format!("parsing model config {cfg_path}: {e}"))?;
+        cfg.try_validate().map_err(|e| format!("invalid model config {cfg_path}: {e}"))?;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
         let mut model = DekgIlp::new(cfg, dataset, &mut rng);
         model.load_checkpoint(path)?;
         Ok(model)
     }
 
-    /// Scores triples with both modules on a fresh tape (no dropout).
+    /// Scores triples: φ_sem on a fresh tape plus φ_tpo through the
+    /// batched engine (no dropout).
     ///
     /// Exposed for the training loop and explain tooling; external users
     /// go through [`LinkPredictor::score_batch`].
@@ -354,88 +311,44 @@ impl DekgIlp {
             return Vec::new();
         }
         let _span = dekg_obs::span!("score_batch");
-        // φ_sem: one tape over the whole batch.
+        let sem = self.sem_scores(graph, triples);
+        let tpo = self.tpo_batched(&self.extractor(graph), triples);
+        sem.iter().zip(&tpo).map(|(s, t)| s + t).collect()
+    }
+
+    /// φ_sem for every triple, on one tape over the whole batch; zeros
+    /// under the `-R` ablation.
+    pub(crate) fn sem_scores(&self, graph: &InferenceGraph, triples: &[Triple]) -> Vec<f32> {
         let mut sem = vec![0.0f32; triples.len()];
         if let Some(clrm) = &self.clrm {
             let mut g = Graph::new();
             let s = clrm.score(&mut g, &self.params, &graph.tables, triples);
             sem.copy_from_slice(g.value(s).data());
         }
-
-        // φ_tpo: path-dependent. The batched engine exploits the
-        // ranking-query structure of the batch; the per-candidate
-        // paths score each triple's subgraph independently.
-        let extractor =
-            SubgraphExtractor::new(&graph.adjacency, self.cfg.hops, self.cfg.extraction_mode())
-                .with_backend(self.distance_backend);
-        let tpo = match self.scoring_path {
-            ScoringPath::Batched => self.tpo_batched(&extractor, triples),
-            ScoringPath::Inference | ScoringPath::TapeReference => {
-                self.tpo_per_candidate(&extractor, triples, self.scoring_path)
-            }
-        };
-        sem.iter().zip(&tpo).map(|(s, t)| s + t).collect()
+        sem
     }
 
-    /// φ_tpo via per-candidate extraction and scoring — the
-    /// [`ScoringPath::Inference`] / [`ScoringPath::TapeReference`]
-    /// engines, and the fallback for structure-free batches.
-    ///
-    /// Chunks bound tape memory on large candidate sets. Chunks are
-    /// independent — each gets its own tape and mount — so they fan out
-    /// over the ambient rayon thread count; scoring is a pure function
-    /// of (params, subgraph), and the ordered collect makes the result
-    /// identical to the serial loop.
-    fn tpo_per_candidate(
-        &self,
-        extractor: &SubgraphExtractor<'_>,
-        triples: &[Triple],
-        path: ScoringPath,
-    ) -> Vec<f32> {
-        const CHUNK: usize = 64;
-        use rayon::prelude::*;
-        let chunks: Vec<&[Triple]> = triples.chunks(CHUNK).collect();
-        let tpo_chunks: Vec<Vec<f32>> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let subgraphs: Vec<(Subgraph, dekg_kg::RelationId)> = chunk
-                    .iter()
-                    .map(|t| (extractor.extract(t.head, t.tail, None), t.rel))
-                    .collect();
-                let items: Vec<(&Subgraph, dekg_kg::RelationId)> =
-                    subgraphs.iter().map(|(sg, r)| (sg, *r)).collect();
-                match path {
-                    ScoringPath::Inference => {
-                        self.gsm.score_subgraphs_inference(&self.params, &items)
-                    }
-                    ScoringPath::TapeReference | ScoringPath::Batched => {
-                        self.gsm.score_subgraphs_eval(&self.params, &items)
-                    }
-                }
-            })
-            .collect();
-        tpo_chunks.into_iter().flatten().collect()
+    /// The subgraph extractor φ_tpo scoring runs on.
+    pub(crate) fn extractor<'g>(&self, graph: &'g InferenceGraph) -> SubgraphExtractor<'g> {
+        SubgraphExtractor::new(&graph.adjacency, self.cfg.hops, self.cfg.extraction_mode())
+            .with_backend(self.distance_backend)
     }
 
     /// φ_tpo via the batched candidate-ranking engine.
     ///
-    /// Detects the query shape, reuses the fixed endpoint's truncated
-    /// BFS across candidates, packs candidate subgraphs
-    /// block-diagonally (`eval_batch` per pack) and scores each pack
-    /// with one forward pass through a reusable workspace. Every
-    /// decision preserves bitwise equality with the per-candidate path:
-    /// cached BFS reuse is gated on the exact-equality condition
+    /// Detects the query shape, reuses a fixed endpoint's truncated BFS
+    /// across candidates, packs candidate subgraphs block-diagonally
+    /// (`eval_batch` per pack) and scores each pack with one forward
+    /// pass through a reusable workspace. Every decision preserves
+    /// bitwise equality with per-candidate tape scoring
+    /// ([`crate::reference::TapeReference`]): cached BFS reuse is gated
+    /// on the exact-equality condition
     /// ([`dekg_kg::QueryExtractionCache`]), the block-diagonal kernels
     /// preserve per-subgraph accumulation order, and packs are
     /// independent so chunking/threading cannot reorder float sums.
     fn tpo_batched(&self, extractor: &SubgraphExtractor<'_>, triples: &[Triple]) -> Vec<f32> {
         use rayon::prelude::*;
         let shape = QueryShape::detect(triples);
-        if shape == QueryShape::Mixed {
-            // No shared endpoint to cache or exploit: fall back to the
-            // per-candidate forward-only engine.
-            return self.tpo_per_candidate(extractor, triples, ScoringPath::Inference);
-        }
         if shape == QueryShape::FixedPair {
             // Relation query (h, ?, t): one extraction and one encode
             // serve every candidate relation.
@@ -450,13 +363,13 @@ impl DekgIlp {
             });
         }
         // Entity query: one endpoint is fixed across the batch — BFS it
-        // once, then fan packs out over the ambient rayon pool.
-        let fixed: EntityId = match shape {
-            QueryShape::FixedHead => triples[0].head,
-            QueryShape::FixedTail => triples[0].tail,
-            _ => unreachable!(),
+        // once. Mixed batches have nothing to reuse and extract plainly;
+        // both fan packs out over the ambient rayon pool.
+        let cache = match shape {
+            QueryShape::FixedHead => Some(extractor.cache_source(triples[0].head)),
+            QueryShape::FixedTail => Some(extractor.cache_source(triples[0].tail)),
+            _ => None,
         };
-        let cache = extractor.cache_source(fixed);
         let chunks: Vec<&[Triple]> = triples.chunks(self.eval_batch.max(1)).collect();
         let packs: Vec<(Vec<f32>, usize, u64, u64)> = chunks
             .par_iter()
@@ -465,15 +378,18 @@ impl DekgIlp {
                 let mut misses = 0u64;
                 let subgraphs: Vec<Subgraph> = chunk
                     .iter()
-                    .map(|t| {
-                        let (sg, hit) =
-                            extractor.extract_with_cached_source(&cache, t.head, t.tail, None);
-                        if hit {
-                            hits += 1;
-                        } else {
-                            misses += 1;
+                    .map(|t| match &cache {
+                        Some(cache) => {
+                            let (sg, hit) =
+                                extractor.extract_with_cached_source(cache, t.head, t.tail, None);
+                            if hit {
+                                hits += 1;
+                            } else {
+                                misses += 1;
+                            }
+                            sg
                         }
-                        sg
+                        None => extractor.extract(t.head, t.tail, None),
                     })
                     .collect();
                 let batch = BatchedSubgraphs::pack(&subgraphs);
@@ -494,7 +410,7 @@ impl DekgIlp {
                 (scores, nodes, hits, misses)
             })
             .collect();
-        // Record metrics once per query from pack-level sums, so the
+        // Record metrics once per batch from pack-level sums, so the
         // snapshot is invariant to both `eval_batch` and thread count.
         let obs = batched_obs();
         obs.batch_nodes.observe(packs.iter().map(|p| p.1 as u64).sum());
@@ -528,7 +444,9 @@ impl TrainableModel for DekgIlp {
 mod tests {
     use super::*;
     use crate::config::Ablation;
+    use crate::reference::TapeReference;
     use dekg_datasets::{generate, DatasetProfile, RawKg, SplitKind, SynthConfig};
+    use dekg_kg::EntityId;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -561,7 +479,8 @@ mod tests {
     #[test]
     fn scoring_paths_are_bitwise_identical() {
         // Train briefly so parameters are away from init, then check
-        // the forward-only path against the tape on real test links.
+        // the production engine against the tape on real test links (a
+        // Mixed batch: no shared endpoint).
         let d = tiny_dataset();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let cfg = DekgIlpConfig { epochs: 1, ..DekgIlpConfig::quick() };
@@ -570,22 +489,19 @@ mod tests {
         let graph = InferenceGraph::from_dataset(&d);
         let batch: Vec<Triple> =
             d.test_enclosing.iter().chain(&d.test_bridging).copied().take(12).collect();
-
-        assert_eq!(model.scoring_path(), ScoringPath::Batched);
-        let batched = model.score_batch(&graph, &batch);
-        model.set_scoring_path(ScoringPath::Inference);
-        let fast = model.score_batch(&graph, &batch);
-        model.set_scoring_path(ScoringPath::TapeReference);
-        let tape = model.score_batch(&graph, &batch);
-        assert_eq!(batched, fast);
-        assert_eq!(fast, tape);
+        assert_eq!(QueryShape::detect(&batch), QueryShape::Mixed);
+        let tape = TapeReference::new(&model).score_batch(&graph, &batch);
+        for eb in [1usize, 5, 64] {
+            model.set_eval_batch(eb);
+            assert_eq!(model.score_batch(&graph, &batch), tape, "eval_batch {eb}");
+        }
     }
 
     #[test]
     fn batched_path_matches_per_candidate_on_ranking_shapes() {
         // Ranking-shaped batches exercise the FixedHead / FixedTail /
         // FixedPair engines; scores must be bitwise identical to the
-        // per-candidate path for every shape and any eval_batch.
+        // per-candidate tape for every shape and any eval_batch.
         let d = tiny_dataset();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let cfg = DekgIlpConfig { epochs: 1, ..DekgIlpConfig::quick() };
@@ -604,13 +520,10 @@ mod tests {
             .map(|r| Triple { head: t0.head, rel: dekg_kg::RelationId(r as u32), tail: t0.tail })
             .collect();
         for batch in [&tail_query, &head_query, &rel_query] {
+            let per_candidate = TapeReference::new(&model).score_batch(&graph, batch);
             for eb in [1usize, 3, 64] {
                 model.set_eval_batch(eb);
-                model.set_scoring_path(ScoringPath::Batched);
-                let batched = model.score_batch(&graph, batch);
-                model.set_scoring_path(ScoringPath::Inference);
-                let per_candidate = model.score_batch(&graph, batch);
-                assert_eq!(batched, per_candidate);
+                assert_eq!(model.score_batch(&graph, batch), per_candidate);
             }
         }
     }

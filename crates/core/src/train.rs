@@ -468,8 +468,7 @@ pub fn prepare_batch(
         batch.iter().flat_map(|t| std::iter::repeat(*t).take(cfg.neg_per_pos)).collect();
     let negs = sampler.corrupt_batch(batch, cfg.neg_per_pos, neg_master);
 
-    let extractor = SubgraphExtractor::new(&train_graph.adjacency, cfg.hops, cfg.extraction_mode())
-        .with_backend(model.distance_backend());
+    let extractor = model.extractor(train_graph);
     let pos_subgraphs = extract_side(&extractor, &pos_rep, true);
     let neg_subgraphs = extract_side(&extractor, &negs, false);
     PreparedBatch { batch: batch.to_vec(), pos_rep, negs, pos_subgraphs, neg_subgraphs }

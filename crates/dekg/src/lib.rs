@@ -55,7 +55,7 @@ pub mod prelude {
         NeuralLpConfig, RotatE, RuleN, SubgraphModelConfig, Tact, TransE,
     };
     pub use dekg_core::{
-        Ablation, DekgIlp, DekgIlpConfig, InferenceGraph, LinkPredictor, ScoringPath, TrainReport,
+        Ablation, DekgIlp, DekgIlpConfig, InferenceGraph, LinkPredictor, TrainReport,
         TrainableModel,
     };
     pub use dekg_datasets::{

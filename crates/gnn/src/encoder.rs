@@ -2,7 +2,7 @@
 //! baselines.
 
 use crate::labeling::{feature_width, node_features, LabelingMode};
-use crate::rgcn::{group_edges_by_relation, BatchedLayerScratch, RgcnLayer, RgcnLayerConfig};
+use crate::rgcn::{BatchedLayerScratch, RgcnLayer, RgcnLayerConfig};
 use dekg_kg::{BatchedSubgraphs, Subgraph};
 use dekg_tensor::{kernels, Graph, ParamStore, Var};
 use rand::Rng;
@@ -55,21 +55,6 @@ pub struct EncodedSubgraph {
     pub head: Var,
     /// Tail embedding `h_j^L` as `[1, dim]`.
     pub tail: Var,
-}
-
-/// The forward-only counterpart of [`EncodedSubgraph`]: plain buffers
-/// instead of tape handles, produced by
-/// [`SubgraphEncoder::encode_inference`].
-#[derive(Debug, Clone)]
-pub struct InferenceEncoding {
-    /// All node embeddings `h^L`, row-major `[n, dim]`.
-    pub nodes: Vec<f32>,
-    /// Average-pooled graph embedding `h_G^L` as `[dim]`.
-    pub graph: Vec<f32>,
-    /// Head embedding `h_i^L` as `[dim]`.
-    pub head: Vec<f32>,
-    /// Tail embedding `h_j^L` as `[dim]`.
-    pub tail: Vec<f32>,
 }
 
 /// A stack of [`RgcnLayer`]s with labeling-based input features and
@@ -169,41 +154,13 @@ impl SubgraphEncoder {
         EncodedSubgraph { nodes: h, graph, head, tail }
     }
 
-    /// Forward-only encoding: no tape, no dropout. Bitwise identical to
-    /// [`SubgraphEncoder::encode_mounted`] with `train = false` — same
-    /// kernels, same op order (see [`RgcnLayer::forward_inference`]).
-    /// This is the evaluation fast path: it skips the autograd tape's
-    /// node bookkeeping, which dominates scoring cost at eval time.
-    pub fn encode_inference(&self, params: &ParamStore, sg: &Subgraph) -> InferenceEncoding {
-        let by_rel = group_edges_by_relation(sg, None);
-        let mut h = node_features(sg, self.cfg.hops, self.cfg.labeling).into_vec();
-        for layer in &self.layers {
-            h = layer.forward_inference(params, sg, &h, &by_rel);
-        }
-
-        let n = sg.num_nodes();
-        let dim = self.cfg.dim;
-        // Average-pool readout, replicating the tape's mean_axis0:
-        // accumulate rows in order, then scale by 1/n.
-        let mut graph = vec![0.0f32; dim];
-        for row in h.chunks_exact(dim) {
-            kernels::add_assign(&mut graph, row);
-        }
-        let inv = if n == 0 { 0.0 } else { 1.0 / n as f32 };
-        for x in &mut graph {
-            *x *= inv;
-        }
-        let head = h[..dim].to_vec();
-        let tail = h[dim..2 * dim].to_vec();
-        InferenceEncoding { nodes: h, graph, head, tail }
-    }
-
-    /// Batched forward-only encoding over a block-diagonal pack of
-    /// subgraphs, bitwise identical to calling
-    /// [`SubgraphEncoder::encode_inference`] per subgraph (see
-    /// [`RgcnLayer::forward_inference_batched`] for the layer-level
-    /// argument; the readout below accumulates each segment's rows in
-    /// the same order and scales by the same `1/n`).
+    /// Forward-only encoding (no tape, no dropout) over a
+    /// block-diagonal pack of subgraphs, bitwise identical to calling
+    /// [`SubgraphEncoder::encode`] with `train = false` per subgraph
+    /// (see [`RgcnLayer::forward_inference_batched`] for the
+    /// layer-level argument; the readout below replicates the tape's
+    /// `mean_axis0`, accumulating each segment's rows in order and
+    /// scaling by the same `1/n`).
     ///
     /// Results land in `ws` (`graph`/`heads`/`tails`, one row per
     /// segment); all buffers are reused across calls.
@@ -259,8 +216,8 @@ impl SubgraphEncoder {
         let h = &ws.h_a;
 
         // Segment readout: mean-pool each segment's rows (accumulated
-        // in row order, then scaled — as in `encode_inference`) plus
-        // the head/tail rows at each segment's start.
+        // in row order, then scaled — as the tape's mean_axis0 does)
+        // plus the head/tail rows at each segment's start.
         let dim = self.cfg.dim;
         let b = batch.num_graphs();
         ws.graph.clear();
@@ -414,12 +371,38 @@ mod tests {
         assert!(diags.is_empty(), "encoder tape should be clean: {diags:?}");
     }
 
+    /// Packs `sgs`, encodes the pack forward-only, and requires every
+    /// segment's node rows, pooled graph row and endpoint rows to equal
+    /// the tape encoding of that subgraph alone, bit for bit.
+    fn assert_batched_matches_tape(enc: &SubgraphEncoder, ps: &ParamStore, sgs: &[Subgraph]) {
+        let batch = dekg_kg::BatchedSubgraphs::pack(sgs);
+        let mut ws = BatchedEncodeWorkspace::new();
+        enc.encode_inference_batched(ps, &batch, &mut ws);
+        let dim = enc.config().dim;
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        for (i, sg) in sgs.iter().enumerate() {
+            let mut g = Graph::new();
+            let tape = enc.encode(&mut g, ps, sg, false, &mut rng);
+            let rows = batch.segment(i);
+            let ctx = format!("segment {i}, {:?}", enc.config());
+            assert_eq!(
+                g.value(tape.nodes).data(),
+                &ws.h_a[rows.start * dim..rows.end * dim],
+                "nodes: {ctx}"
+            );
+            let row = i * dim..(i + 1) * dim;
+            assert_eq!(g.value(tape.graph).data(), &ws.graph[row.clone()], "graph: {ctx}");
+            assert_eq!(g.value(tape.head).data(), &ws.heads[row.clone()], "head: {ctx}");
+            assert_eq!(g.value(tape.tail).data(), &ws.tails[row], "tail: {ctx}");
+        }
+    }
+
     #[test]
     fn inference_path_is_bitwise_identical_to_tape() {
         // The forward-only path must reproduce the tape path bit for
-        // bit — evaluation switches between them expecting identical
-        // rankings. Exercised with and without basis decomposition and
-        // under both labeling modes.
+        // bit — evaluation ranks with one, training probes the other.
+        // Exercised with and without basis decomposition and under
+        // both labeling modes.
         for (num_bases, labeling) in [
             (None, LabelingMode::Improved),
             (None, LabelingMode::Grail),
@@ -434,16 +417,7 @@ mod tests {
                 &mut ps,
                 &mut rng,
             );
-            let sg = chain_subgraph();
-
-            let mut g = Graph::new();
-            let tape = enc.encode(&mut g, &ps, &sg, false, &mut rng);
-            let fast = enc.encode_inference(&ps, &sg);
-
-            assert_eq!(g.value(tape.nodes).data(), &fast.nodes[..], "{num_bases:?} {labeling:?}");
-            assert_eq!(g.value(tape.graph).data(), &fast.graph[..], "{num_bases:?} {labeling:?}");
-            assert_eq!(g.value(tape.head).data(), &fast.head[..], "{num_bases:?} {labeling:?}");
-            assert_eq!(g.value(tape.tail).data(), &fast.tail[..], "{num_bases:?} {labeling:?}");
+            assert_batched_matches_tape(&enc, &ps, &[chain_subgraph()]);
         }
     }
 
@@ -460,11 +434,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let mut ps = ParamStore::new();
         let enc = SubgraphEncoder::new(tiny_cfg(), "gsm", &mut ps, &mut rng);
-        let mut g = Graph::new();
-        let tape = enc.encode(&mut g, &ps, &sg, false, &mut rng);
-        let fast = enc.encode_inference(&ps, &sg);
-        assert_eq!(g.value(tape.nodes).data(), &fast.nodes[..]);
-        assert_eq!(g.value(tape.graph).data(), &fast.graph[..]);
+        assert_batched_matches_tape(&enc, &ps, &[sg]);
     }
 
     /// A mixed bag of subgraphs: connected, disconnected/bridging,
@@ -491,32 +461,20 @@ mod tests {
 
     #[test]
     fn batched_encoding_is_bitwise_identical_per_subgraph() {
-        // The batched engine must reproduce `encode_inference` bit for
-        // bit on every segment — with and without basis decomposition
-        // (which itself is pinned to the tape path elsewhere).
+        // Packing must not leak between segments: every segment of a
+        // mixed pack reproduces its own tape encoding bit for bit —
+        // with and without basis decomposition, under both labelings.
         for num_bases in [None, Some(2)] {
-            let mut rng = ChaCha8Rng::seed_from_u64(21);
-            let mut ps = ParamStore::new();
-            let enc = SubgraphEncoder::new(
-                SubgraphEncoderConfig { num_bases, ..tiny_cfg() },
-                "gsm",
-                &mut ps,
-                &mut rng,
-            );
-            let sgs = mixed_subgraphs();
-            let batch = dekg_kg::BatchedSubgraphs::pack(&sgs);
-            let mut ws = BatchedEncodeWorkspace::new();
-            enc.encode_inference_batched(&ps, &batch, &mut ws);
-            let dim = enc.config().dim;
-            for (i, sg) in sgs.iter().enumerate() {
-                let single = enc.encode_inference(&ps, sg);
-                assert_eq!(
-                    &ws.graph[i * dim..(i + 1) * dim],
-                    &single.graph[..],
-                    "graph row {i}, num_bases {num_bases:?}"
+            for labeling in [LabelingMode::Improved, LabelingMode::Grail] {
+                let mut rng = ChaCha8Rng::seed_from_u64(21);
+                let mut ps = ParamStore::new();
+                let enc = SubgraphEncoder::new(
+                    SubgraphEncoderConfig { num_bases, labeling, ..tiny_cfg() },
+                    "gsm",
+                    &mut ps,
+                    &mut rng,
                 );
-                assert_eq!(&ws.heads[i * dim..(i + 1) * dim], &single.head[..], "head row {i}");
-                assert_eq!(&ws.tails[i * dim..(i + 1) * dim], &single.tail[..], "tail row {i}");
+                assert_batched_matches_tape(&enc, &ps, &mixed_subgraphs());
             }
         }
     }

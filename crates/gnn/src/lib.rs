@@ -17,8 +17,7 @@ pub mod labeling;
 pub mod rgcn;
 
 pub use encoder::{
-    BatchedEncodeWorkspace, EncodedSubgraph, InferenceEncoding, SubgraphEncoder,
-    SubgraphEncoderConfig,
+    BatchedEncodeWorkspace, EncodedSubgraph, SubgraphEncoder, SubgraphEncoderConfig,
 };
 pub use labeling::{node_features, LabelingMode};
 pub use rgcn::{BatchedLayerScratch, RgcnLayer, RgcnLayerConfig};

@@ -21,12 +21,9 @@ use dekg_tensor::{init, kernels, Graph, ParamId, ParamStore, Tensor, Var};
 use rand::Rng;
 
 /// Groups surviving edge indices by relation, sorted by relation id —
-/// the deterministic order both the tape forward and the forward-only
-/// inference path iterate in. Shared so the two paths cannot drift.
-pub(crate) fn group_edges_by_relation(
-    sg: &Subgraph,
-    edge_keep: Option<&[bool]>,
-) -> Vec<(usize, Vec<usize>)> {
+/// the deterministic order the tape forward iterates in (and the
+/// batched forward reproduces per segment).
+fn group_edges_by_relation(sg: &Subgraph, edge_keep: Option<&[bool]>) -> Vec<(usize, Vec<usize>)> {
     let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
         std::collections::BTreeMap::new();
     for (idx, e) in sg.edges.iter().enumerate() {
@@ -213,119 +210,12 @@ impl RgcnLayer {
         g.relu(acc)
     }
 
-    /// Forward-only evaluation of the layer: no tape, no dropout.
-    ///
-    /// Applies the exact same kernels in the exact same order as
-    /// [`RgcnLayer::forward_mounted`] with `edge_keep = None`, so the
-    /// output is bitwise identical to the tape path — that identity is
-    /// what lets evaluation take this path while training keeps the
-    /// autograd tape. `by_rel` must come from the same relation
-    /// grouping both paths share (`group_edges_by_relation`) on the
-    /// same subgraph.
-    ///
-    /// `h` is the row-major `[n, in_dim]` input; returns `[n, out_dim]`.
-    pub fn forward_inference(
-        &self,
-        params: &ParamStore,
-        sg: &Subgraph,
-        h: &[f32],
-        by_rel: &[(usize, Vec<usize>)],
-    ) -> Vec<f32> {
-        let _span = dekg_obs::span!("rgcn_layer_inference");
-        let n = sg.num_nodes();
-        let in_dim = self.cfg.in_dim;
-        let out_dim = self.cfg.out_dim;
-        let attn_dim = self.cfg.attn_dim;
-        debug_assert_eq!(h.len(), n * in_dim, "embedding shape mismatch");
-        let w_self = params.get(self.w_self).data();
-        let bias = params.get(self.bias).data();
-        let attn_embed = params.get(self.attn_embed);
-        let w_attn = params.get(self.w_attn).data();
-
-        // acc = h · W_self + bias (broadcast per row), as in the tape's
-        // add(self_msg, bias_b).
-        let mut acc = vec![0.0f32; n * out_dim];
-        kernels::matmul(h, w_self, &mut acc, n, in_dim, out_dim);
-        for row in acc.chunks_exact_mut(out_dim) {
-            for (x, &b) in row.iter_mut().zip(bias) {
-                *x += b;
-            }
-        }
-
-        let att_width = 2 * in_dim + attn_dim;
-        let mut w_r_scratch = vec![0.0f32; in_dim * out_dim];
-        for (rel, edge_ids) in by_rel {
-            let n_e = edge_ids.len();
-            let w_r: &[f32] = match &self.rel_weights {
-                // The tape gathers rows rel*in..(rel+1)*in of the full
-                // stack — contiguous, so the slice is value-identical.
-                RelWeights::Full(all) => {
-                    let stacked = params.get(*all).data();
-                    &stacked[*rel * in_dim * out_dim..(*rel + 1) * in_dim * out_dim]
-                }
-                RelWeights::Bases { coeffs, bases } => {
-                    let c = params.get(*coeffs);
-                    let num_bases = c.shape().as_matrix().1;
-                    kernels::matmul(
-                        c.row(*rel),
-                        params.get(*bases).data(),
-                        &mut w_r_scratch,
-                        1,
-                        num_bases,
-                        in_dim * out_dim,
-                    );
-                    &w_r_scratch
-                }
-            };
-
-            // Gather h_src and assemble [h_s ⊕ h_t ⊕ q_r] per edge.
-            let mut h_src = vec![0.0f32; n_e * in_dim];
-            let mut att_in = vec![0.0f32; n_e * att_width];
-            for (row, &eid) in edge_ids.iter().enumerate() {
-                let s = sg.edges[eid].src as usize;
-                let d = sg.edges[eid].dst as usize;
-                h_src[row * in_dim..(row + 1) * in_dim]
-                    .copy_from_slice(&h[s * in_dim..(s + 1) * in_dim]);
-                let cat = &mut att_in[row * att_width..(row + 1) * att_width];
-                cat[..in_dim].copy_from_slice(&h[s * in_dim..(s + 1) * in_dim]);
-                cat[in_dim..2 * in_dim].copy_from_slice(&h[d * in_dim..(d + 1) * in_dim]);
-                cat[2 * in_dim..].copy_from_slice(attn_embed.row(*rel));
-            }
-
-            let mut msgs = vec![0.0f32; n_e * out_dim];
-            kernels::matmul(&h_src, w_r, &mut msgs, n_e, in_dim, out_dim);
-            let mut att = vec![0.0f32; n_e];
-            kernels::matmul(&att_in, w_attn, &mut att, n_e, att_width, 1);
-            for a in &mut att {
-                *a = 1.0 / (1.0 + (-*a).exp());
-            }
-
-            // weighted[e] = msgs[e] * att[e] (the tape widens att with a
-            // ones-matmul first; `x * 1.0` is exact in f32, so scaling
-            // by the scalar directly is bit-equal), scatter-added into
-            // dst rows in edge order, then acc += agg — same order as
-            // the tape's scatter_add_rows followed by add.
-            let mut agg = vec![0.0f32; n * out_dim];
-            for (row, &eid) in edge_ids.iter().enumerate() {
-                let d = sg.edges[eid].dst as usize;
-                let a = att[row];
-                let dst_row = &mut agg[d * out_dim..(d + 1) * out_dim];
-                for (x, &m) in dst_row.iter_mut().zip(&msgs[row * out_dim..(row + 1) * out_dim]) {
-                    *x += m * a;
-                }
-            }
-            kernels::add_assign(&mut acc, &agg);
-        }
-
-        for x in &mut acc {
-            *x = x.max(0.0);
-        }
-        acc
-    }
-
-    /// Runs the layer over a block-diagonal batch of subgraphs — the
-    /// packed counterpart of [`RgcnLayer::forward_inference`], bitwise
-    /// identical to running it per segment.
+    /// Forward-only evaluation of the layer over a block-diagonal batch
+    /// of subgraphs: no tape, no dropout. Bitwise identical, segment by
+    /// segment, to [`RgcnLayer::forward_mounted`] with
+    /// `edge_keep = None` on each subgraph — that identity is what lets
+    /// evaluation take this path while training keeps the autograd
+    /// tape.
     ///
     /// Why the identity holds, kernel by kernel:
     ///
@@ -345,7 +235,10 @@ impl RgcnLayer {
     ///   segments' row ranges**, in each segment's edge order. Skipping
     ///   foreign segments is not just an optimization: adding an
     ///   all-zero `agg` row would flip `-0.0` outputs to `+0.0` and
-    ///   break bitwise equality.
+    ///   break bitwise equality;
+    /// * each message is scaled by its attention weight directly, where
+    ///   the tape first widens the weight with a ones-matmul — `x * 1.0`
+    ///   is exact in f32, so the products are bit-equal.
     ///
     /// `h` is the packed `[total_nodes, in_dim]` input; the output is
     /// written into `out` (resized, no allocation in the steady state).
@@ -407,6 +300,8 @@ impl RgcnLayer {
             let rel = group.rel;
             let n_e = group.srcs.len();
             let w_r: &[f32] = match &self.rel_weights {
+                // The tape gathers rows rel*in..(rel+1)*in of the full
+                // stack — contiguous, so the slice is value-identical.
                 RelWeights::Full(all) => {
                     let stacked = params.get(*all).data();
                     &stacked[rel * in_dim * out_dim..(rel + 1) * in_dim * out_dim]

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 /// One loaded checkpoint: the model plus its provenance.
 #[derive(Debug)]
 pub struct ModelGeneration {
-    /// The restored model (scoring path: [`dekg_core::ScoringPath::Batched`]).
+    /// The restored model, scoring through its batched engine.
     pub model: DekgIlp,
     /// Path of the checkpoint pair this generation was restored from.
     pub ckpt_path: String,

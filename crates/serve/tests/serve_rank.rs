@@ -5,6 +5,7 @@
 mod common;
 
 use common::{fixture, rank_call, serve, stop, write_checkpoint, Fixture};
+use dekg_core::reference::TapeReference;
 use dekg_core::{DekgIlp, InferenceGraph, LinkPredictor};
 use dekg_eval::{filtered_rank, RankQuery};
 use dekg_kg::TripleStore;
@@ -37,8 +38,8 @@ fn tail_rank_body(fx: &Fixture, link: usize, candidates: usize, seed: u64, index
 }
 
 /// The rank the evaluation protocol computes for the same query, via
-/// the same library entry points `dekg evaluate --scoring batched`
-/// uses (restore → batched scoring → `filtered_rank`).
+/// the library entry points `dekg evaluate` uses (restore →
+/// `filtered_rank`), scored through the per-candidate tape oracle.
 fn library_rank(
     fx: &Fixture,
     ckpt: &str,
@@ -52,7 +53,8 @@ fn library_rank(
     let filter = protocol_filter(fx);
     let query = RankQuery::Tail(fx.dataset.test_enclosing[link]);
     let mut rng = dekg_datasets::item_rng(seed, index);
-    filtered_rank(&model, &graph, &query, &filter, Some(candidates), &mut rng)
+    let tape = TapeReference::new(&model);
+    filtered_rank(&tape, &graph, &query, &filter, Some(candidates), &mut rng)
 }
 
 #[test]
@@ -124,7 +126,7 @@ fn score_and_rank_tails_forms() {
     assert_eq!(status, 200, "{body}");
     let model = DekgIlp::restore(&fx.ckpt, &fx.dataset).unwrap();
     let graph = InferenceGraph::from_dataset(&fx.dataset);
-    let expected = f64::from(model.score_batch(&graph, &[t])[0]);
+    let expected = f64::from(TapeReference::new(&model).score_batch(&graph, &[t])[0]);
     let parsed = serde_json::parse_value(&body).unwrap();
     let scores = serde::field(parsed.as_object().unwrap(), "scores").unwrap();
     match scores.as_array().unwrap() {
@@ -234,6 +236,33 @@ fn reload_failure_keeps_serving_current_generation() {
     assert_eq!(status, 500);
     // Old generation still answers, byte-identically.
     assert_eq!(rank_call(&addr, &body), before);
+    stop(server);
+}
+
+#[test]
+fn mismatched_reload_is_an_error_and_keeps_serving() {
+    // Weights under a sidecar that describes another architecture: the
+    // reload must answer with an error, not take the daemon down, and
+    // generation 1 keeps answering byte-identically.
+    let fx = fixture("reload-mismatch", 1);
+    let ckpt2 = fx.dir.join("model2.dekg").to_string_lossy().into_owned();
+    write_checkpoint(&fx.dataset, &ckpt2, 42);
+    let cfg2 = dekg_core::DekgIlpConfig { dim: 16, ..dekg_core::DekgIlpConfig::paper() };
+    std::fs::write(format!("{ckpt2}.json"), serde_json::to_string_pretty(&cfg2).unwrap()).unwrap();
+    let (server, addr) = serve(&fx, ServeConfig::default());
+    let body = tail_rank_body(&fx, 0, 10, 0, 0);
+    let before = rank_call(&addr, &body);
+    assert_eq!(before.0, 200);
+
+    let (status, reply) =
+        http_call(&addr, "POST", "/admin/reload", Some(&format!("{{\"ckpt\": \"{ckpt2}\"}}")))
+            .unwrap();
+    assert_eq!(status, 500, "{reply}");
+    assert!(reply.contains("shape mismatch"), "{reply}");
+    assert_eq!(rank_call(&addr, &body), before);
+    // The current generation is still 1: a good reload makes it 2.
+    let (status, reply) = http_call(&addr, "POST", "/admin/reload", None).unwrap();
+    assert_eq!((status, reply.as_str()), (200, "{\"generation\":2}"));
     stop(server);
 }
 

@@ -1,14 +1,17 @@
-//! The batched candidate-ranking engine == the per-candidate paths,
+//! The batched candidate-ranking engine == the per-candidate tape,
 //! bitwise.
 //!
-//! [`ScoringPath::Batched`] packs candidate subgraphs block-diagonally,
-//! reuses the fixed endpoint's BFS across candidates and scores through
+//! `DekgIlp::score_batch` packs candidate subgraphs block-diagonally,
+//! reuses a fixed endpoint's BFS across candidates and scores through
 //! reusable workspaces — all of which promise *bitwise* equality with
-//! the per-candidate forward path and the autograd tape. These tests
-//! pin that contract end-to-end: same ranks, same metrics, same
-//! observability counters, for every `num_bases` variant and for the
-//! disconnected (bridging-link) subgraphs the paper is about.
+//! scoring each candidate through the autograd tape
+//! ([`TapeReference`]). These tests pin that contract end-to-end: same
+//! ranks, same metrics, same observability counters, for every
+//! `num_bases` variant and for the disconnected (bridging-link)
+//! subgraphs the paper is about. `scripts/check.sh` runs this suite a
+//! second time under `DEKG_SHUFFLE_SCHEDULE=1`.
 
+use dekg::core::reference::TapeReference;
 use dekg::prelude::*;
 use dekg_datasets::tiny_fixture;
 use dekg_eval::ranking::filtered_candidates;
@@ -25,9 +28,6 @@ fn obs_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-const PATHS: [ScoringPath; 3] =
-    [ScoringPath::Batched, ScoringPath::Inference, ScoringPath::TapeReference];
-
 fn trained_model(data: &DekgDataset, num_bases: Option<usize>, seed: u64) -> DekgIlp {
     let cfg = DekgIlpConfig { epochs: 1, num_bases, ..DekgIlpConfig::quick() };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -36,9 +36,9 @@ fn trained_model(data: &DekgDataset, num_bases: Option<usize>, seed: u64) -> Dek
     model
 }
 
-/// Every scoring path must produce identical ranks for every prediction
-/// form, on enclosing links and on bridging links (whose subgraphs are
-/// disconnected), under both relation-weight layouts.
+/// The batched engine must produce the tape's ranks for every
+/// prediction form, on enclosing links and on bridging links (whose
+/// subgraphs are disconnected), under both relation-weight layouts.
 #[test]
 fn ranks_are_bitwise_identical_across_scoring_paths() {
     let _obs = obs_lock();
@@ -46,36 +46,30 @@ fn ranks_are_bitwise_identical_across_scoring_paths() {
     let graph = InferenceGraph::from_dataset(&data);
     let filter = graph.store.clone();
     for num_bases in [None, Some(2)] {
-        let mut model = trained_model(&data, num_bases, 13);
+        let model = trained_model(&data, num_bases, 13);
+        let tape = TapeReference::new(&model);
         // One enclosing link (connected subgraph) and one bridging link
         // (disconnected subgraph), all three prediction forms.
         let links = [data.test_enclosing[0], data.test_bridging[0]];
         for link in links {
             let queries = [RankQuery::Head(link), RankQuery::Relation(link), RankQuery::Tail(link)];
             for query in queries {
-                let ranks: Vec<f64> = PATHS
-                    .iter()
-                    .map(|&path| {
-                        model.set_scoring_path(path);
-                        let mut rng = ChaCha8Rng::seed_from_u64(5);
-                        filtered_rank(&model, &graph, &query, &filter, Some(15), &mut rng)
-                    })
-                    .collect();
+                let rank = |m: &dyn LinkPredictor| {
+                    let mut rng = ChaCha8Rng::seed_from_u64(5);
+                    filtered_rank(m, &graph, &query, &filter, Some(15), &mut rng)
+                };
                 assert_eq!(
-                    ranks[0], ranks[1],
-                    "batched vs per-candidate diverged: {num_bases:?} {query:?}"
-                );
-                assert_eq!(
-                    ranks[1], ranks[2],
-                    "per-candidate vs tape diverged: {num_bases:?} {query:?}"
+                    rank(&model),
+                    rank(&tape),
+                    "batched vs tape diverged: {num_bases:?} {query:?}"
                 );
             }
         }
     }
 }
 
-/// Whole-protocol metrics must agree across the three paths — every
-/// query, every class breakdown, every prediction form.
+/// Whole-protocol metrics must agree with the tape — every query, every
+/// class breakdown, every prediction form.
 #[test]
 fn protocol_metrics_are_identical_across_scoring_paths() {
     let _obs = obs_lock();
@@ -85,26 +79,20 @@ fn protocol_metrics_are_identical_across_scoring_paths() {
     let mut protocol = ProtocolConfig::sampled(12);
     protocol.seed = 17;
     for num_bases in [None, Some(2)] {
-        let mut model = trained_model(&data, num_bases, 21);
-        let results: Vec<EvalResult> = PATHS
-            .iter()
-            .map(|&path| {
-                model.set_scoring_path(path);
-                evaluate(&model, &graph, &data, &mix, &protocol)
-            })
-            .collect();
-        for r in &results[1..] {
-            assert_eq!(results[0].overall, r.overall, "num_bases {num_bases:?}");
-            assert_eq!(results[0].enclosing, r.enclosing, "num_bases {num_bases:?}");
-            assert_eq!(results[0].bridging, r.bridging, "num_bases {num_bases:?}");
-            assert_eq!(results[0].by_task, r.by_task, "num_bases {num_bases:?}");
-        }
+        let model = trained_model(&data, num_bases, 21);
+        let batched = evaluate(&model, &graph, &data, &mix, &protocol);
+        let tape = evaluate(&TapeReference::new(&model), &graph, &data, &mix, &protocol);
+        assert_eq!(batched.overall, tape.overall, "num_bases {num_bases:?}");
+        assert_eq!(batched.enclosing, tape.enclosing, "num_bases {num_bases:?}");
+        assert_eq!(batched.bridging, tape.bridging, "num_bases {num_bases:?}");
+        assert_eq!(batched.by_task, tape.by_task, "num_bases {num_bases:?}");
     }
 }
 
-/// Structure-free (mixed) batches take the per-candidate fallback —
-/// scores must still be bitwise identical, including empty and
-/// singleton batches.
+/// Structure-free (Mixed) batches are packed without BFS reuse — scores
+/// must still equal the tape bitwise at any packing size, including
+/// batches spanning several packs, duplicates, and empty and singleton
+/// batches; and they must leave the BFS cache counters untouched.
 #[test]
 fn mixed_and_degenerate_batches_match() {
     let _obs = obs_lock();
@@ -117,14 +105,42 @@ fn mixed_and_degenerate_batches_match() {
         data.test_enclosing.iter().chain(&data.test_bridging).copied().take(6).collect();
     let singleton = vec![mixed[0]];
     let empty: Vec<Triple> = Vec::new();
+    // Larger than the default `eval_batch` of 64: enclosing and
+    // bridging links over several relations, each also re-aimed at
+    // the next link's tail, plus a duplicate.
+    let links: Vec<Triple> =
+        data.test_enclosing.iter().chain(&data.test_bridging).copied().collect();
+    let mut large: Vec<Triple> = links
+        .iter()
+        .cycle()
+        .zip(links.iter().cycle().skip(1))
+        .flat_map(|(t, next)| [*t, Triple::new(t.head, next.rel, next.tail)])
+        .take(69)
+        .collect();
+    large.push(large[3]);
+    assert_eq!(large.len(), 70);
+    let rels: std::collections::BTreeSet<_> = large.iter().map(|t| t.rel).collect();
+    assert!(rels.len() > 1, "fixture needs several relations");
+    assert!(
+        large.iter().any(|t| data.test_bridging.contains(t))
+            && large.iter().any(|t| data.test_enclosing.contains(t)),
+        "fixture needs enclosing and bridging links"
+    );
 
-    for batch in [&mixed, &singleton, &empty] {
-        model.set_scoring_path(ScoringPath::Batched);
-        let batched = model.score_batch(&graph, batch);
-        model.set_scoring_path(ScoringPath::Inference);
-        let per_candidate = model.score_batch(&graph, batch);
-        assert_eq!(batched, per_candidate);
-        assert_eq!(batched.len(), batch.len());
+    let counters = || {
+        let snap = dekg_obs::metrics_snapshot();
+        let get = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
+        (get("dekg_eval_bfs_cache_hits_total"), get("dekg_eval_bfs_cache_misses_total"))
+    };
+    for batch in [&mixed, &singleton, &empty, &large] {
+        let tape = TapeReference::new(&model).score_batch(&graph, batch);
+        assert_eq!(tape.len(), batch.len());
+        for eval_batch in [1, 3, 64] {
+            model.set_eval_batch(eval_batch);
+            let before = counters();
+            assert_eq!(model.score_batch(&graph, batch), tape, "eval_batch {eval_batch}");
+            assert_eq!(counters(), before, "a Mixed batch touched the BFS cache counters");
+        }
     }
 }
 

@@ -93,3 +93,74 @@ fn corrupted_checkpoint_is_rejected_not_misread() {
     let bytes2 = encode(model.params());
     assert!(decode(&bytes2[..bytes2.len() / 2]).is_err());
 }
+
+/// Writes `model`'s weights to `path` with `cfg` as its `.json`
+/// sidecar — a deliberately mismatched pair when `cfg` is not the
+/// model's own config.
+fn write_pair(model: &DekgIlp, cfg: &DekgIlpConfig, path: &std::path::Path) -> String {
+    let path = path.to_string_lossy().into_owned();
+    model.save_checkpoint(&path).unwrap();
+    std::fs::write(format!("{path}.json"), serde_json::to_string_pretty(cfg).unwrap()).unwrap();
+    path
+}
+
+#[test]
+fn mismatched_checkpoint_pair_is_an_error_not_a_panic() {
+    let data = dataset();
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let cfg = DekgIlpConfig::quick();
+    let model = DekgIlp::new(cfg.clone(), &data, &mut rng);
+    let dir = std::env::temp_dir();
+    let tag = std::process::id();
+
+    // The sidecar's own pair restores.
+    let ok = write_pair(&model, &cfg, &dir.join(format!("dekg_ckpt_pair_ok_{tag}.bin")));
+    assert!(DekgIlp::restore(&ok, &data).is_ok());
+
+    // A sidecar of a different `dim`: same names, other shapes.
+    let wide = DekgIlpConfig { dim: cfg.dim * 2, ..cfg.clone() };
+    let path = write_pair(&model, &wide, &dir.join(format!("dekg_ckpt_pair_dim_{tag}.bin")));
+    let err = DekgIlp::restore(&path, &data).unwrap_err().to_string();
+    assert!(err.contains("shape mismatch"), "{err}");
+
+    // A sidecar without the semantic module: a different parameter set.
+    let no_sem = DekgIlpConfig { ablation: Ablation::without_semantic(), ..cfg.clone() };
+    let path = write_pair(&model, &no_sem, &dir.join(format!("dekg_ckpt_pair_abl_{tag}.bin")));
+    let err = DekgIlp::restore(&path, &data).unwrap_err().to_string();
+    assert!(err.contains("parameters"), "{err}");
+
+    // An out-of-range sidecar is rejected before any model is built.
+    let zero = DekgIlpConfig { dim: 0, ..cfg.clone() };
+    let path = write_pair(&model, &zero, &dir.join(format!("dekg_ckpt_pair_zero_{tag}.bin")));
+    let err = DekgIlp::restore(&path, &data).unwrap_err().to_string();
+    assert!(err.contains("dim must be positive"), "{err}");
+
+    for kind in ["ok", "dim", "abl", "zero"] {
+        let p = dir.join(format!("dekg_ckpt_pair_{kind}_{tag}.bin"));
+        std::fs::remove_file(&p).ok();
+        std::fs::remove_file(format!("{}.json", p.display())).ok();
+    }
+}
+
+#[test]
+fn failed_load_leaves_the_model_unchanged() {
+    // A different hop bound changes only the first GNN layer's input
+    // width: the CLRM parameters ahead of it in the file match, so a
+    // load that copied as it checked would leave a half-restored model.
+    let data = dataset();
+    let cfg = DekgIlpConfig::quick();
+    let mut rng = ChaCha8Rng::seed_from_u64(4);
+    let mut model = DekgIlp::new(cfg.clone(), &data, &mut rng);
+    let other_cfg = DekgIlpConfig { hops: cfg.hops + 1, ..cfg };
+    let other = DekgIlp::new(other_cfg, &data, &mut rng);
+    let path = std::env::temp_dir().join(format!("dekg_ckpt_hops_{}.bin", std::process::id()));
+    other.save_checkpoint(&path).unwrap();
+
+    let graph = InferenceGraph::from_dataset(&data);
+    let batch = &data.test_enclosing[..4.min(data.test_enclosing.len())];
+    let before = model.score_batch(&graph, batch);
+    let err = model.load_checkpoint(&path).unwrap_err().to_string();
+    assert!(err.contains("shape mismatch"), "{err}");
+    assert_eq!(model.score_batch(&graph, batch), before);
+    std::fs::remove_file(&path).ok();
+}

@@ -7,6 +7,7 @@
 //! contract on the tiny fixture: every comparison is exact equality,
 //! not a tolerance.
 
+use dekg::core::reference::TapeReference;
 use dekg::prelude::*;
 use dekg_datasets::{assemble_epoch, tiny_fixture};
 use rand::SeedableRng;
@@ -163,7 +164,6 @@ fn eval_is_batch_size_and_thread_invariant() {
     let mut model =
         DekgIlp::new(DekgIlpConfig { epochs: 1, ..DekgIlpConfig::quick() }, &data, &mut rng);
     model.fit(&data, &mut rng);
-    assert_eq!(model.scoring_path(), ScoringPath::Batched);
     let graph = InferenceGraph::from_dataset(&data);
     let mix = TestMix::build(&data, MixRatio::for_split(SplitKind::Eq));
 
@@ -186,6 +186,11 @@ fn eval_is_batch_size_and_thread_invariant() {
         assert_eq!(base.2, other.2, "eval_batch={eval_batch} threads={threads}");
         assert_eq!(base.3, other.3, "snapshot diverged: eval_batch={eval_batch} threads={threads}");
     }
+    // …and every one of those runs equals the per-candidate tape.
+    let mut protocol = ProtocolConfig::sampled(12);
+    protocol.seed = 11;
+    let tape = evaluate(&TapeReference::new(&model), &graph, &data, &mix, &protocol);
+    assert_eq!((base.0, base.1, base.2), (tape.overall, tape.enclosing, tape.bridging));
 }
 
 #[test]
