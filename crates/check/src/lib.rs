@@ -4,9 +4,9 @@
 //! # dekg-check
 //!
 //! Static analysis over DEKG datasets: the knowledge-graph counterpart
-//! to the autograd tape linter in [`dekg_tensor::check`]. Both report
-//! through the same [`Diagnostic`] type, so the CLI can print tape and
-//! KG findings uniformly.
+//! to tape analysis in [`dekg_tensor::tapecheck`]. Both report through
+//! the same [`Diagnostic`] type (defined in [`dekg_tensor::check`]), so
+//! the CLI can print tape and KG findings uniformly.
 //!
 //! The validators never panic on malformed data — that is the point.
 //! [`dekg_datasets::DekgDataset::validate`] asserts and is right for
@@ -73,8 +73,9 @@ pub use profile::validate_profile;
 /// Runs the full per-op gradient-check suite from
 /// [`dekg_tensor::gradcheck`]: every `Op` variant's finite-difference
 /// check plus the coverage audit that fails when a variant has no
-/// registered check. This is the semantic counterpart to the
-/// structural tape linter — invoked by `dekg check --grads`.
+/// registered check. This is the semantic counterpart to the static
+/// passes of [`dekg_tensor::tapecheck`] — invoked by
+/// `dekg check --grads`.
 pub fn validate_grads(seed: u64) -> Vec<Diagnostic> {
     dekg_tensor::gradcheck::run_all(seed)
 }

@@ -231,10 +231,10 @@ pub fn check(flags: &Flags) -> CliResult {
     Ok(())
 }
 
-/// The static tape analysis behind `dekg check --tape`: records one
-/// production training batch and runs the `dekg_tensor::tapecheck`
-/// passes (abstract shapes, gradient-flow reachability, memory plan)
-/// over it without executing any kernels.
+/// The tape analysis behind `dekg check --tape`: records one production
+/// training batch and runs all four `dekg_tensor::tapecheck` passes
+/// (shapes and indices, gradient-flow reachability, memory plan, NaN/Inf
+/// values) over it without executing any kernels.
 fn run_tape_check(
     dataset: &DekgDataset,
     seed: u64,

@@ -104,12 +104,14 @@ pub struct DekgIlpConfig {
     /// kernels, and training aborts on divergence. `0` (the default)
     /// disables the spot check.
     pub gradcheck_every: usize,
-    /// When `true`, every training batch's tape is statically analyzed
-    /// (`dekg_tensor::tapecheck`): abstract shapes are cross-checked
-    /// against recorded values, gradient-flow reachability flags dead
-    /// parameters, and the memory plan's predicted peak is exported as
-    /// a gauge. Structurally identical batches hit an analysis cache,
-    /// so steady-state overhead is a single hash of the tape.
+    /// When `true`, every training batch's tape goes through the three
+    /// static passes of `dekg_tensor::tapecheck` via its `TapeCache`:
+    /// each node's shape is checked against its op, gradient-flow
+    /// reachability flags dead parameters, and the memory plan's
+    /// predicted peak is exported as a gauge. Structurally identical
+    /// batches hit the cache, so steady-state overhead is a single hash
+    /// of the tape. The value pass (NaN/Inf checks) is not cached and
+    /// not run here; `dekg check --tape` runs all four passes.
     pub tape_report: bool,
     /// Ablation switches.
     pub ablation: Ablation,

@@ -551,45 +551,11 @@ pub fn record_prepared(
     BatchLossBreakdown { total: loss, margin, contrastive, sem_pos_mean, tpo_pos_mean }
 }
 
-/// Builds a small fresh model on `dataset`, records one production
-/// training batch with [`batch_loss`], and differentially checks the
-/// tape against the f64 reference interpreter.
-///
-/// Returns the interpreter's findings (empty = clean). This is the
-/// semantic half of `dekg check --grads`: it exercises the CLRM, GSM
-/// and combined Eq. 15 objectives end-to-end on real data rather than
-/// per-op fixtures.
-pub fn grad_check_dataset(dataset: &DekgDataset, seed: u64) -> Vec<Diagnostic> {
-    use rand::SeedableRng;
-    let cfg = crate::config::DekgIlpConfig {
-        dim: 8,
-        num_contrastive: 2,
-        gnn_layers: 2,
-        attn_dim: 4,
-        ..crate::config::DekgIlpConfig::quick()
-    };
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let model = DekgIlp::new(cfg, dataset, &mut rng);
-    let train_graph = InferenceGraph::training_view(dataset);
-    let sampler =
-        NegativeSampler::new(0..dataset.num_original_entities as u32, vec![&dataset.original]);
-    let batch: Vec<Triple> = dataset.original.triples().iter().copied().take(8).collect();
-    let mut g = Graph::new();
-    let loss = batch_loss(&mut g, &model, dataset, &train_graph, &sampler, &batch, &mut rng);
-    g.diff_check(loss, Some(model.params()))
-}
-
-/// Builds a small fresh model on `dataset`, records one production
-/// training batch with [`batch_loss_parts`], and runs the static tape
-/// analyzer over it without executing any kernels.
-///
-/// Returns the full [`dekg_tensor::TapeReport`] (clean = no
-/// diagnostics). This is the structural half of `dekg check --tape`:
-/// abstract shape interpretation, gradient-flow reachability over the
-/// model's parameters, and the liveness/memory plan — all on the exact
-/// Eq. 15 tape, with the breakdown's diagnostic means declared as
-/// observed roots.
-pub fn tape_check_dataset(dataset: &DekgDataset, seed: u64) -> dekg_tensor::TapeReport {
+/// The one production training batch both `dekg check` tape faces
+/// analyze: a small fresh model on `dataset` and the first 8 original
+/// triples, recorded with [`batch_loss_parts`]. Sharing it means
+/// `--grads` and `--tape` see the identical tape for a given seed.
+fn check_batch_tape(dataset: &DekgDataset, seed: u64) -> (DekgIlp, Graph, BatchLossBreakdown) {
     use rand::SeedableRng;
     let cfg = crate::config::DekgIlpConfig {
         dim: 8,
@@ -606,6 +572,35 @@ pub fn tape_check_dataset(dataset: &DekgDataset, seed: u64) -> dekg_tensor::Tape
     let batch: Vec<Triple> = dataset.original.triples().iter().copied().take(8).collect();
     let mut g = Graph::new();
     let parts = batch_loss_parts(&mut g, &model, dataset, &train_graph, &sampler, &batch, &mut rng);
+    (model, g, parts)
+}
+
+/// Builds a small fresh model on `dataset`, records one production
+/// training batch (the same tape [`tape_check_dataset`] analyzes) and
+/// differentially checks it against the f64 reference interpreter.
+///
+/// Returns the interpreter's findings (empty = clean). This is the
+/// semantic half of `dekg check --grads`: it exercises the CLRM, GSM
+/// and combined Eq. 15 objectives end-to-end on real data rather than
+/// per-op fixtures.
+pub fn grad_check_dataset(dataset: &DekgDataset, seed: u64) -> Vec<Diagnostic> {
+    let (model, g, parts) = check_batch_tape(dataset, seed);
+    g.diff_check(parts.total, Some(model.params()))
+}
+
+/// Builds a small fresh model on `dataset`, records one production
+/// training batch (the same tape [`grad_check_dataset`] checks) and
+/// runs tape analysis over it without executing any kernels.
+///
+/// Returns the full [`dekg_tensor::TapeReport`] (clean = no
+/// diagnostics). This is the structural half of `dekg check --tape`:
+/// all four passes of [`dekg_tensor::tapecheck::tapecheck_with`] —
+/// shapes and indices, gradient-flow reachability over the model's
+/// parameters, the liveness/memory plan, and the NaN/Inf value checks —
+/// on the exact Eq. 15 tape, with the breakdown's diagnostic means
+/// declared as observed roots.
+pub fn tape_check_dataset(dataset: &DekgDataset, seed: u64) -> dekg_tensor::TapeReport {
+    let (model, g, parts) = check_batch_tape(dataset, seed);
     dekg_tensor::tapecheck::tapecheck_with(
         &g,
         parts.total,

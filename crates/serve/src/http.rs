@@ -16,6 +16,14 @@ use std::time::Duration;
 /// anything larger is a client bug or abuse, shed before allocation.
 pub(crate) const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Upper bound on the request line and on each header line, terminator
+/// included. A peer that never sends `\n` is cut off here instead of
+/// growing the line buffer without bound.
+pub(crate) const MAX_HEAD_LINE_BYTES: usize = 8 << 10;
+
+/// Upper bound on the number of header lines in one request.
+pub(crate) const MAX_HEADERS: usize = 64;
+
 /// Per-connection socket timeout: a stalled peer must not pin a
 /// connection thread forever.
 pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(30);
@@ -45,20 +53,23 @@ pub(crate) fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let mut reader = BufReader::new(stream);
 
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line).map_err(|e| format!("reading request line: {e}"))?;
+    let request_line = read_head_line(&mut reader, "request line")?;
     let mut parts = request_line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_owned();
     let target = parts.next().ok_or("request line has no target")?;
     let path = target.split('?').next().unwrap_or(target).to_owned();
 
     let mut content_length: usize = 0;
+    let mut headers = 0;
     loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).map_err(|e| format!("reading header: {e}"))?;
+        let line = read_head_line(&mut reader, "header")?;
         let line = line.trim_end();
-        if n == 0 || line.is_empty() {
+        if line.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(format!("more than {MAX_HEADERS} header lines"));
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -77,6 +88,21 @@ pub(crate) fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).map_err(|e| format!("reading body: {e}"))?;
     Ok(Request { method, path, body })
+}
+
+/// Reads one line of the request head (request line or header), at most
+/// [`MAX_HEAD_LINE_BYTES`] long. Returns an empty string at end of
+/// stream.
+fn read_head_line(reader: &mut impl BufRead, what: &str) -> Result<String, String> {
+    let mut line = String::new();
+    let n = reader
+        .take(MAX_HEAD_LINE_BYTES as u64)
+        .read_line(&mut line)
+        .map_err(|e| format!("reading {what}: {e}"))?;
+    if n == MAX_HEAD_LINE_BYTES && !line.ends_with('\n') {
+        return Err(format!("{what} exceeds the {MAX_HEAD_LINE_BYTES}-byte cap"));
+    }
+    Ok(line)
 }
 
 /// One response, written with `Connection: close` framing.
@@ -307,6 +333,59 @@ mod tests {
         let v = headers.iter().find(|(k, _)| k == "x-dekg-score-us").map(|(_, v)| v.as_str());
         assert_eq!(v, Some("123"));
         handle.join().unwrap();
+    }
+
+    /// Sends `raw` as-is and returns whatever response bytes arrive. The
+    /// server may reset the connection after answering, since it stops
+    /// reading an over-cap head, so a read error after data is expected.
+    fn raw_exchange(addr: std::net::SocketAddr, raw: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(raw).unwrap();
+        let mut buf = Vec::new();
+        let _ = stream.read_to_end(&mut buf);
+        String::from_utf8_lossy(&buf).into_owned()
+    }
+
+    #[test]
+    fn endless_request_line_is_a_400() {
+        let (addr, handle) = echo_server();
+        let raw = vec![b'A'; MAX_HEAD_LINE_BYTES + 1024];
+        let response = raw_exchange(addr, &raw);
+        handle.join().unwrap();
+        assert!(response.starts_with("HTTP/1.1 400 "), "response: {response:?}");
+        assert!(response.contains("request line exceeds"), "response: {response:?}");
+    }
+
+    #[test]
+    fn header_flood_is_a_400() {
+        let (addr, handle) = echo_server();
+        let mut raw = b"GET /healthz HTTP/1.1\r\n".to_vec();
+        for i in 0..=MAX_HEADERS {
+            raw.extend_from_slice(format!("X-Flood-{i}: 1\r\n").as_bytes());
+        }
+        raw.extend_from_slice(b"\r\n");
+        let response = raw_exchange(addr, &raw);
+        handle.join().unwrap();
+        assert!(response.starts_with("HTTP/1.1 400 "), "response: {response:?}");
+        assert!(response.contains("header lines"), "response: {response:?}");
+    }
+
+    #[test]
+    fn head_at_the_caps_is_accepted() {
+        let (addr, handle) = echo_server();
+        let mut raw = b"GET /healthz HTTP/1.1\r\n".to_vec();
+        for i in 0..MAX_HEADERS - 1 {
+            raw.extend_from_slice(format!("X-H-{i}: 1\r\n").as_bytes());
+        }
+        // The last header fills its line exactly to the cap.
+        let prefix = b"X-Long: ";
+        raw.extend_from_slice(prefix);
+        raw.extend(std::iter::repeat(b'v').take(MAX_HEAD_LINE_BYTES - prefix.len() - 2));
+        raw.extend_from_slice(b"\r\n\r\n");
+        let response = raw_exchange(addr, &raw);
+        handle.join().unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 "), "response: {response:?}");
+        assert!(response.ends_with("GET /healthz 0"), "response: {response:?}");
     }
 
     #[test]

@@ -1,50 +1,23 @@
-//! Tape linter: static analysis over a recorded [`Graph`] arena.
+//! The diagnostic currency and the per-op shape rules of tape analysis.
 //!
-//! [`Graph::check`] walks the arena *before* [`Graph::backward`] and
-//! reports problems as [`Diagnostic`]s instead of panicking mid-sweep:
+//! [`Diagnostic`] (with its [`Severity`]) is the one finding type every
+//! analyzer in the workspace reports through: [`crate::tapecheck`] over
+//! recorded tapes, the reference interpreter and gradcheck in
+//! [`crate::interp`] / [`crate::gradcheck`], and the KG validators of
+//! `dekg-check`.
 //!
-//! * **Shape errors** — every op's output shape is re-derived from its
-//!   input shapes by a single centralized inference routine (the same
-//!   one the eager constructors use), so a node whose recorded value
-//!   disagrees with its op is reported with op provenance.
-//! * **Out-of-bounds indices** — `GatherRows`/`GatherFlat`/
-//!   `ScatterAddRows` index vectors are validated against their input
-//!   extents ([`crate::tape::PAD`] entries are exempt).
-//! * **Dead subgraphs** — nodes recorded before the loss that can never
-//!   reach it contribute nothing to the gradient and usually indicate a
-//!   wiring bug.
-//! * **Dead parameters** — registered [`crate::ParamId`]s with no gradient
-//!   path to the loss silently never train
-//!   ([`Graph::check_with_params`]).
-//! * **NaN/Inf patterns** — division by a constant containing zero,
-//!   `ln`/`sqrt` of provably non-positive constants, and any node whose
-//!   forward value introduces a non-finite value its inputs did not
-//!   have.
+//! The module also owns the op tables those analyzers share:
 //!
-//! The structural subset (shapes and index bounds) also runs
-//! automatically at the top of every `backward()` call in builds with
-//! `debug_assertions`, turning latent tape corruption into an immediate
-//! panic with a pointed message.
-//!
-//! ```
-//! use dekg_tensor::{Graph, ParamStore, Tensor};
-//!
-//! let mut ps = ParamStore::new();
-//! let w = ps.insert("w", Tensor::ones([2]));
-//! let dead = ps.insert("unused", Tensor::ones([2]));
-//!
-//! let mut g = Graph::new();
-//! let wv = g.param(&ps, w);
-//! let sq = g.square(wv);
-//! let loss = g.sum_all(sq);
-//!
-//! let diags = g.check_with_params(loss, &ps);
-//! assert_eq!(diags.len(), 1);
-//! assert_eq!(diags[0].code, "dead-param");
-//! let _ = dead;
-//! ```
+//! * [`ALL_OPS`] and `op_ordinal` — one mnemonic per `Op` variant, kept
+//!   exhaustive by a wildcard-free `match` and audited against the
+//!   gradcheck registry;
+//! * `for_each_input` — the input edges of an op, in recording order;
+//! * `infer_shape_with` — the single per-op shape/index rule set, run by
+//!   the eager [`Graph`] constructors (panicking with a typed
+//!   [`ShapeError`]) and by tapecheck's pass 1 (reporting
+//!   [`Diagnostic`]s);
+//! * `op_context` — the node provenance both attach to a [`ShapeError`].
 
-use crate::params::ParamStore;
 use crate::shape::Shape;
 use crate::tape::{Graph, Op, Var, PAD};
 use std::fmt;
@@ -67,8 +40,9 @@ impl fmt::Display for Severity {
     }
 }
 
-/// One finding from the tape linter (or the KG validator, which reuses
-/// this type through `dekg-check`).
+/// One finding from tape analysis ([`crate::tapecheck`], the reference
+/// interpreter, gradcheck) or from the KG validators, which reuse this
+/// type through `dekg-check`.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     /// Error or warning.
@@ -140,9 +114,9 @@ pub enum ShapeErrorKind {
 /// A typed shape-inference failure.
 ///
 /// Produced by the centralized per-op shape inference that both the
-/// eager [`Graph`] constructors and the tape linter run; the eager path
-/// panics with its [`Display`](fmt::Display) text, the linter converts
-/// it into a [`Diagnostic`].
+/// eager [`Graph`] constructors and tapecheck's shape pass run; the eager
+/// path panics with its [`Display`](fmt::Display) text, the shape pass
+/// converts it into a [`Diagnostic`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapeError {
     op: &'static str,
@@ -190,7 +164,7 @@ impl fmt::Display for ShapeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Space, not colon: the op mnemonic leads straight into the
         // message ("matmul inner dims: ..."), matching the panic texts
-        // the pre-linter kernels produced. Provenance, when attached,
+        // the kernels originally produced. Provenance, when attached,
         // trails in brackets so the leading text stays grep-stable.
         write!(f, "{} {}", self.op, self.message)?;
         if let Some(ctx) = &self.context {
@@ -360,12 +334,11 @@ fn same_shape(op: &'static str, a: &Shape, b: &Shape) -> Result<Shape, ShapeErro
 ///
 /// `declared` carries the caller-declared output shape for the ops that
 /// take one (`Leaf`, `Reshape`, `GatherFlat`); for every other op it is
-/// ignored. Three callers share this single routine: the eager
-/// [`Graph`] constructors (lookup = recorded input values, panic on
-/// `Err`), the tape linter (recorded shapes, downgraded to
-/// [`Diagnostic`]s), and the abstract interpreter in
-/// [`crate::tapecheck`] (symbolic shapes derived bottom-up from the
-/// leaves, never touching a recorded value).
+/// ignored. Two callers share this single routine: the eager [`Graph`]
+/// constructors (lookup = the inputs' values, panic on `Err`) and
+/// pass 1 of [`crate::tapecheck`] (lookup = the inputs' recorded
+/// shapes, `Err` downgraded to a [`Diagnostic`]), which also backs the
+/// `backward()` debug hook and `diff_check`'s structural pre-check.
 pub(crate) fn infer_shape_with<'s>(
     op: &Op,
     declared: Option<&Shape>,
@@ -585,7 +558,7 @@ pub(crate) fn infer_shape_with<'s>(
 /// mnemonic, the node's arena index, every input `Var` id with its
 /// recorded shape, and (when the node already exists) the recorded
 /// output shape. Attached via [`ShapeError::with_context`] so a
-/// constructor panic or linter diagnostic pinpoints the offending node
+/// constructor panic or shape-pass diagnostic pinpoints the offending node
 /// without a debugger.
 pub(crate) fn op_context(g: &Graph, op: &Op, node: usize, output: Option<&Shape>) -> String {
     use std::fmt::Write as _;
@@ -612,220 +585,29 @@ impl Graph {
     ) -> Result<Shape, ShapeError> {
         infer_shape_with(op, declared, &|v: Var| self.node_value(v).shape())
     }
-
-    /// Structural invariants only: scalar loss, per-node shape
-    /// inference consistency and index bounds. This is the subset that
-    /// runs automatically inside `backward()` under `debug_assertions`.
-    pub(crate) fn structural_diagnostics(&self, loss: Var) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        let loss_value = self.node_value(loss);
-        if loss_value.numel() != 1 {
-            out.push(Diagnostic::error(
-                "non-scalar-loss",
-                Some(loss.0),
-                op_mnemonic(self.node_op(loss)),
-                format!("backward() needs a scalar loss, got {}", loss_value.shape()),
-            ));
-        }
-        for id in 0..=loss.0 {
-            let v = Var(id);
-            let op = self.node_op(v);
-            let recorded = self.node_value(v).shape();
-            match self.infer_shape(op, Some(recorded)) {
-                Err(e) => {
-                    let code = match e.kind() {
-                        ShapeErrorKind::OutOfBounds => "oob-index",
-                        _ => "shape-error",
-                    };
-                    let e = e.with_context(op_context(self, op, id, Some(recorded)));
-                    out.push(Diagnostic::error(code, Some(id), op_mnemonic(op), e.to_string()));
-                }
-                Ok(inferred) => {
-                    if !inferred.same_as(recorded) {
-                        out.push(Diagnostic::error(
-                            "shape-mismatch",
-                            Some(id),
-                            op_mnemonic(op),
-                            format!("recorded value has shape {recorded}, op implies {inferred}"),
-                        ));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Marks every node `<= loss` that can reach the loss through op
-    /// edges.
-    pub(crate) fn live_set(&self, loss: Var) -> Vec<bool> {
-        let mut live = vec![false; loss.0 + 1];
-        let mut stack = vec![loss.0];
-        live[loss.0] = true;
-        while let Some(id) = stack.pop() {
-            for_each_input(self.node_op(Var(id)), |input| {
-                if input.0 < live.len() && !live[input.0] {
-                    live[input.0] = true;
-                    stack.push(input.0);
-                }
-            });
-        }
-        live
-    }
-
-    /// Lints the tape below `loss`, returning every finding.
-    ///
-    /// Runs the structural checks of [`Graph::backward`]'s debug hook
-    /// plus reachability analysis (dead subgraphs) and NaN/Inf pattern
-    /// detection. An empty result means `backward(loss)` is safe and
-    /// every recorded node participates in the gradient.
-    ///
-    /// Use [`Graph::check_with_params`] to also verify parameter
-    /// coverage.
-    pub fn check(&self, loss: Var) -> Vec<Diagnostic> {
-        let mut out = self.structural_diagnostics(loss);
-        let live = self.live_set(loss);
-
-        // Dead subgraphs: collapse into one diagnostic so a large tape
-        // with a forgotten branch does not flood the report.
-        let dead: Vec<usize> = (0..=loss.0).filter(|&id| !live[id]).collect();
-        if !dead.is_empty() {
-            let preview: Vec<String> = dead.iter().take(5).map(ToString::to_string).collect();
-            let suffix = if dead.len() > 5 { ", .." } else { "" };
-            out.push(Diagnostic::warning(
-                "dead-code",
-                Some(dead[0]),
-                op_mnemonic(self.node_op(Var(dead[0]))),
-                format!(
-                    "{} node(s) recorded before the loss never reach it (nodes {}{suffix})",
-                    dead.len(),
-                    preview.join(", ")
-                ),
-            ));
-        }
-
-        // NaN/Inf-producing patterns on constants, and non-finite
-        // forward values at their origin node.
-        for id in 0..=loss.0 {
-            let v = Var(id);
-            let op = self.node_op(v);
-            match op {
-                Op::Div(_, b)
-                    if self.is_constant(*b) && self.node_value(*b).data().contains(&0.0) =>
-                {
-                    out.push(Diagnostic::warning(
-                        "div-by-zero",
-                        Some(id),
-                        "Div",
-                        format!("divides by constant node {} which contains 0", b.0),
-                    ));
-                }
-                Op::Ln(a)
-                    if self.is_constant(*a)
-                        && self.node_value(*a).data().iter().any(|&x| x <= 0.0) =>
-                {
-                    out.push(Diagnostic::warning(
-                        "log-nonpositive",
-                        Some(id),
-                        "Ln",
-                        format!("takes ln of constant node {} with a value <= 0", a.0),
-                    ));
-                }
-                Op::Sqrt(a)
-                    if self.is_constant(*a)
-                        && self.node_value(*a).data().iter().any(|&x| x < 0.0) =>
-                {
-                    out.push(Diagnostic::warning(
-                        "sqrt-negative",
-                        Some(id),
-                        "Sqrt",
-                        format!("takes sqrt of constant node {} with a negative value", a.0),
-                    ));
-                }
-                _ => {}
-            }
-            // Non-finite op *payloads*: these corrupt gradients (the
-            // backward rules multiply by them) even when every node
-            // value still looks finite, so they are flagged separately
-            // from the value sweep below.
-            match op {
-                Op::Dropout(_, mask) if mask.iter().any(|m| !m.is_finite()) => {
-                    out.push(Diagnostic::warning(
-                        "non-finite-mask",
-                        Some(id),
-                        "Dropout",
-                        "recorded dropout mask contains NaN or Inf".to_string(),
-                    ));
-                }
-                Op::AddScalar(_, s) | Op::MulScalar(_, s) if !s.is_finite() => {
-                    out.push(Diagnostic::warning(
-                        "non-finite-scalar",
-                        Some(id),
-                        op_mnemonic(op),
-                        format!("scalar payload {s} is not finite"),
-                    ));
-                }
-                _ => {}
-            }
-            if self.node_value(v).has_non_finite() {
-                let mut inputs_finite = true;
-                for_each_input(op, |input| {
-                    if self.node_value(input).has_non_finite() {
-                        inputs_finite = false;
-                    }
-                });
-                if inputs_finite {
-                    out.push(Diagnostic::warning(
-                        "non-finite",
-                        Some(id),
-                        op_mnemonic(op),
-                        "forward value introduces NaN or Inf from finite inputs".to_string(),
-                    ));
-                }
-            }
-        }
-        out
-    }
-
-    /// [`Graph::check`] plus parameter coverage: every parameter
-    /// registered in `params` must be mounted on a node that reaches
-    /// the loss, otherwise it silently never receives a gradient.
-    pub fn check_with_params(&self, loss: Var, params: &ParamStore) -> Vec<Diagnostic> {
-        let mut out = self.check(loss);
-        let live = self.live_set(loss);
-        let mut reached = vec![false; params.len()];
-        for (id, &is_live) in live.iter().enumerate().take(loss.0 + 1) {
-            if let Op::Leaf(Some(pid)) = self.node_op(Var(id)) {
-                if is_live && pid.index() < reached.len() {
-                    reached[pid.index()] = true;
-                }
-            }
-        }
-        for (pid, name, _) in params.iter() {
-            if !reached[pid.index()] {
-                out.push(Diagnostic::warning(
-                    "dead-param",
-                    None,
-                    "Param",
-                    format!("registered parameter {name:?} has no gradient path to the loss"),
-                ));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    //! One test per diagnostic code tape analysis emits, each driven
+    //! through [`crate::tapecheck::tapecheck_with`] (the red fixtures in
+    //! `tapecheck.rs` pin the full rendered transcripts).
+
     use super::*;
-    use crate::params::ParamStore;
+    use crate::params::{ParamId, ParamStore};
+    use crate::tapecheck::{tapecheck_with, TapeReport};
     use crate::tensor::Tensor;
     use proptest::prelude::*;
 
-    fn two_param_store() -> (ParamStore, crate::params::ParamId, crate::params::ParamId) {
+    fn two_param_store() -> (ParamStore, ParamId, ParamId) {
         let mut ps = ParamStore::new();
         let a = ps.insert("a", Tensor::from_vec([2], vec![1.0, 2.0]));
         let b = ps.insert("b", Tensor::from_vec([2], vec![3.0, 4.0]));
         (ps, a, b)
+    }
+
+    fn codes(report: &TapeReport) -> Vec<&'static str> {
+        report.diagnostics.iter().map(|d| d.code).collect()
     }
 
     #[test]
@@ -836,7 +618,7 @@ mod tests {
         let bv = g.param(&ps, b);
         let p = g.mul(av, bv);
         let loss = g.sum_all(p);
-        assert!(g.check_with_params(loss, &ps).is_empty());
+        assert!(tapecheck_with(&g, loss, &[], Some(&ps)).is_clean());
     }
 
     #[test]
@@ -846,7 +628,7 @@ mod tests {
         let av = g.param(&ps, a);
         let sq = g.square(av);
         let loss = g.sum_all(sq);
-        let diags = g.check_with_params(loss, &ps);
+        let diags = tapecheck_with(&g, loss, &[], Some(&ps)).diagnostics;
         assert_eq!(diags.len(), 1, "diags: {diags:?}");
         assert_eq!(diags[0].code, "dead-param");
         assert_eq!(diags[0].severity, Severity::Warning);
@@ -864,7 +646,7 @@ mod tests {
         let _more_dangling = g.sum_all(dangling);
         let sq = g.square(av);
         let loss = g.sum_all(sq);
-        let diags = g.check(loss);
+        let diags = tapecheck_with(&g, loss, &[], None).diagnostics;
         let dead: Vec<_> = diags.iter().filter(|d| d.code == "dead-code").collect();
         assert_eq!(dead.len(), 1, "diags: {diags:?}");
         assert!(dead[0].message.contains("3 node(s)"), "message: {}", dead[0].message);
@@ -878,7 +660,7 @@ mod tests {
         let m = g.reshape(av, [1, 2]);
         let bad = g.fault_gather_rows_unchecked(m, &[0, 7]);
         let s = g.sum_all(bad);
-        let diags = g.check(s);
+        let diags = tapecheck_with(&g, s, &[], None).diagnostics;
         assert!(
             diags.iter().any(|d| d.code == "oob-index" && d.severity == Severity::Error),
             "diags: {diags:?}"
@@ -894,7 +676,7 @@ mod tests {
         let sum = g.add(av, bv);
         g.fault_override_value(sum, Tensor::zeros([3]));
         let loss = g.sum_all(sum);
-        let diags = g.check(loss);
+        let diags = tapecheck_with(&g, loss, &[], None).diagnostics;
         assert!(
             diags.iter().any(|d| d.code == "shape-mismatch" && d.node == Some(sum.index())),
             "diags: {diags:?}"
@@ -902,12 +684,30 @@ mod tests {
     }
 
     #[test]
+    fn inconsistent_inputs_are_a_shape_error() {
+        let mut ps = ParamStore::new();
+        let a = ps.insert("a", Tensor::ones([2, 3]));
+        let b = ps.insert("b", Tensor::ones([3, 4]));
+        let mut g = Graph::new();
+        let av = g.param(&ps, a);
+        let bv = g.param(&ps, b);
+        let prod = g.matmul(av, bv);
+        let loss = g.sum_all(prod);
+        // The leaf now claims [2, 2]: the recorded product's inputs no
+        // longer multiply, so inference itself fails at the Matmul.
+        g.fault_override_value(av, Tensor::ones([2, 2]));
+        let report = tapecheck_with(&g, loss, &[], Some(&ps));
+        assert_eq!(codes(&report), vec!["shape-error"], "diags: {:?}", report.diagnostics);
+        assert_eq!(report.diagnostics[0].node, Some(prod.index()));
+    }
+
+    #[test]
     fn non_scalar_loss_is_reported() {
         let (ps, a, _b) = two_param_store();
         let mut g = Graph::new();
         let av = g.param(&ps, a);
-        let diags = g.check(av);
-        assert!(diags.iter().any(|d| d.code == "non-scalar-loss"), "diags: {diags:?}");
+        let report = tapecheck_with(&g, av, &[], None);
+        assert!(codes(&report).contains(&"non-scalar-loss"), "diags: {:?}", report.diagnostics);
     }
 
     #[test]
@@ -918,10 +718,10 @@ mod tests {
         let z = g.constant(Tensor::from_vec([2], vec![1.0, 0.0]));
         let q = g.div(av, z);
         let loss = g.sum_all(q);
-        let diags = g.check(loss);
-        assert!(diags.iter().any(|d| d.code == "div-by-zero"), "diags: {diags:?}");
+        let report = tapecheck_with(&g, loss, &[], None);
+        assert!(codes(&report).contains(&"div-by-zero"), "diags: {:?}", report.diagnostics);
         // The division by zero also produces an Inf at the Div node.
-        assert!(diags.iter().any(|d| d.code == "non-finite"), "diags: {diags:?}");
+        assert!(codes(&report).contains(&"non-finite"), "diags: {:?}", report.diagnostics);
     }
 
     #[test]
@@ -930,8 +730,48 @@ mod tests {
         let c = g.constant(Tensor::from_vec([2], vec![0.5, -1.0]));
         let l = g.ln(c);
         let loss = g.sum_all(l);
-        let diags = g.check(loss);
-        assert!(diags.iter().any(|d| d.code == "log-nonpositive"), "diags: {diags:?}");
+        let report = tapecheck_with(&g, loss, &[], None);
+        assert!(codes(&report).contains(&"log-nonpositive"), "diags: {:?}", report.diagnostics);
+    }
+
+    #[test]
+    fn sqrt_of_negative_constant_warns() {
+        let mut g = Graph::new();
+        let c = g.constant(Tensor::from_vec([2], vec![4.0, -1.0]));
+        let r = g.sqrt(c);
+        let loss = g.sum_all(r);
+        let report = tapecheck_with(&g, loss, &[], None);
+        // The NaN is born at the Sqrt node and reported there only.
+        assert_eq!(codes(&report), vec!["sqrt-negative", "non-finite"]);
+        assert!(report.diagnostics.iter().all(|d| d.node == Some(r.index())));
+    }
+
+    #[test]
+    fn non_finite_dropout_mask_warns() {
+        let (ps, a, _b) = two_param_store();
+        let mut g = Graph::new();
+        let av = g.param(&ps, a);
+        let d = g.fault_dropout_with_mask(av, vec![2.0, f32::INFINITY]);
+        let loss = g.sum_all(d);
+        let diags = tapecheck_with(&g, loss, &[], Some(&ps)).diagnostics;
+        assert!(
+            diags.iter().any(|x| x.code == "non-finite-mask" && x.node == Some(d.index())),
+            "diags: {diags:?}"
+        );
+    }
+
+    #[test]
+    fn non_finite_scalar_payload_warns() {
+        let (ps, a, _b) = two_param_store();
+        let mut g = Graph::new();
+        let av = g.param(&ps, a);
+        let shifted = g.add_scalar(av, f32::NAN);
+        let loss = g.sum_all(shifted);
+        let diags = tapecheck_with(&g, loss, &[], Some(&ps)).diagnostics;
+        assert!(
+            diags.iter().any(|x| x.code == "non-finite-scalar" && x.node == Some(shifted.index())),
+            "diags: {diags:?}"
+        );
     }
 
     #[test]
@@ -950,7 +790,7 @@ mod tests {
 
     proptest! {
         /// A randomly shaped, randomly valued but well-formed training
-        /// tape lints clean, and stays clean while it converges.
+        /// tape analyzes clean, and stays clean while it converges.
         #[test]
         fn converging_tape_stays_clean(rows in 1usize..5, cols in 1usize..5, steps in 1usize..4) {
             let mut ps = ParamStore::new();
@@ -962,7 +802,8 @@ mod tests {
                 let wv = g.param(&ps, w);
                 let sq = g.square(wv);
                 let loss = g.mean_all(sq);
-                prop_assert!(g.check_with_params(loss, &ps).is_empty());
+                let report = tapecheck_with(&g, loss, &[], Some(&ps));
+                prop_assert!(report.is_clean(), "diags: {:?}", report.diagnostics);
                 let grads = g.backward(loss);
                 use crate::optim::{Optimizer, Sgd};
                 Sgd::new(0.1).step(&mut ps, &grads);

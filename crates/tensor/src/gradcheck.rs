@@ -18,6 +18,14 @@
 //! [`crate::check::ALL_OPS`], whose companion
 //! `op_ordinal` match is exhaustive, so adding an `Op` variant without
 //! registering a gradcheck fails the audit at compile-or-test time.
+//!
+//! Every case runs through [`Graph::diff_check`], whose structural
+//! pre-check is tapecheck's shape pass, so this registry is also the
+//! op-coverage audit of the shape rules in `infer_shape_with`. Ops
+//! whose rule could confuse two dims (`Matmul`, the axis reductions,
+//! `BroadcastRow`, `ScatterAddRows`) check a pinned shape with distinct
+//! dims besides the random draw, so a swapped axis cannot hide behind a
+//! square sample.
 
 use crate::check::{Diagnostic, ALL_OPS};
 use crate::params::ParamStore;
@@ -213,6 +221,27 @@ fn rand_matrix_shape(rng: &mut ChaCha8Rng) -> (usize, usize) {
     (rng.gen_range(1..4), rng.gen_range(1..4))
 }
 
+/// One-input check over matrices: a pinned non-square `[2, 3]` operand,
+/// then a random one. A shape rule that swaps the two axes passes on a
+/// square draw but not on the pinned shape.
+fn matrix_check(rng: &mut ChaCha8Rng, op: impl Fn(&mut Graph, Var) -> Var) -> Result<(), String> {
+    for (m, n) in [(2, 3), rand_matrix_shape(rng)] {
+        let data = uniform(rng, m * n, -1.0, 1.0);
+        let wseed = rng.gen::<u64>();
+        check_fn(
+            &[("x", vec![m, n], data)],
+            &|g, ps| {
+                let x = g.param(ps, ps.id_of("x").unwrap());
+                let y = op(&mut *g, x);
+                let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
+                weighted(g, y, &mut wrng)
+            },
+            &FdConfig::default(),
+        )?;
+    }
+    Ok(())
+}
+
 #[allow(clippy::too_many_lines)] // one registration per op variant, by design
 fn registry_impl() -> Vec<OpCheck> {
     vec![
@@ -307,24 +336,29 @@ fn registry_impl() -> Vec<OpCheck> {
         OpCheck {
             op: "Matmul",
             run: |rng| {
+                // `[2, 3]·[3, 4]` keeps all three dims distinct, so a
+                // shape rule confusing any two of them fails; then a
+                // random draw.
                 let (m, k) = rand_matrix_shape(rng);
-                let n = rng.gen_range(1..4);
-                let mut a = uniform(rng, m * k, -1.0, 1.0);
-                // Exercise the kernel's 0.0-skip path.
-                a[0] = 0.0;
-                let b = uniform(rng, k * n, -1.0, 1.0);
-                let wseed = rng.gen::<u64>();
-                check_fn(
-                    &[("a", vec![m, k], a), ("b", vec![k, n], b)],
-                    &|g, ps| {
-                        let a = g.param(ps, ps.id_of("a").unwrap());
-                        let b = g.param(ps, ps.id_of("b").unwrap());
-                        let y = g.matmul(a, b);
-                        let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
-                        weighted(g, y, &mut wrng)
-                    },
-                    &FdConfig::default(),
-                )
+                for (m, k, n) in [(2, 3, 4), (m, k, rng.gen_range(1..4))] {
+                    let mut a = uniform(rng, m * k, -1.0, 1.0);
+                    // Exercise the kernel's 0.0-skip path.
+                    a[0] = 0.0;
+                    let b = uniform(rng, k * n, -1.0, 1.0);
+                    let wseed = rng.gen::<u64>();
+                    check_fn(
+                        &[("a", vec![m, k], a), ("b", vec![k, n], b)],
+                        &|g, ps| {
+                            let a = g.param(ps, ps.id_of("a").unwrap());
+                            let b = g.param(ps, ps.id_of("b").unwrap());
+                            let y = g.matmul(a, b);
+                            let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
+                            weighted(g, y, &mut wrng)
+                        },
+                        &FdConfig::default(),
+                    )?;
+                }
+                Ok(())
             },
         },
         OpCheck {
@@ -352,14 +386,15 @@ fn registry_impl() -> Vec<OpCheck> {
             run: |rng| {
                 let data = uniform(rng, 6, -1.0, 1.0);
                 // PAD offsets read 0.0 and must route no gradient;
-                // offset 1 repeats, so its gradient accumulates.
+                // offset 1 repeats, so its gradient accumulates. The
+                // declared output shape differs from the input's.
                 let idx = vec![PAD, 1, rng.gen_range(0..6), PAD, 1, 4];
                 let wseed = rng.gen::<u64>();
                 check_fn(
                     &[("x", vec![2, 3], data)],
                     &move |g, ps| {
                         let x = g.param(ps, ps.id_of("x").unwrap());
-                        let y = g.gather_flat(x, &idx, [2, 3]);
+                        let y = g.gather_flat(x, &idx, [3, 2]);
                         let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
                         weighted(g, y, &mut wrng)
                     },
@@ -388,20 +423,25 @@ fn registry_impl() -> Vec<OpCheck> {
             op: "ConcatRows",
             run: |rng| {
                 let cols = rng.gen_range(1..4);
-                let a = uniform(rng, cols, -1.0, 1.0);
-                let b = uniform(rng, 2 * cols, -1.0, 1.0);
-                let wseed = rng.gen::<u64>();
-                check_fn(
-                    &[("a", vec![1, cols], a), ("b", vec![2, cols], b)],
-                    &|g, ps| {
-                        let a = g.param(ps, ps.id_of("a").unwrap());
-                        let b = g.param(ps, ps.id_of("b").unwrap());
-                        let y = g.concat_rows(&[a, b]);
-                        let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
-                        weighted(g, y, &mut wrng)
-                    },
-                    &FdConfig::default(),
-                )
+                // Rank 2 stacks rows (`[1, c]` over `[2, c]`); rank 1
+                // appends (`[2]` then `[3]`).
+                for (sa, sb) in [(vec![1, cols], vec![2, cols]), (vec![2], vec![3])] {
+                    let a = uniform(rng, sa.iter().product(), -1.0, 1.0);
+                    let b = uniform(rng, sb.iter().product(), -1.0, 1.0);
+                    let wseed = rng.gen::<u64>();
+                    check_fn(
+                        &[("a", sa, a), ("b", sb, b)],
+                        &|g, ps| {
+                            let a = g.param(ps, ps.id_of("a").unwrap());
+                            let b = g.param(ps, ps.id_of("b").unwrap());
+                            let y = g.concat_rows(&[a, b]);
+                            let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
+                            weighted(g, y, &mut wrng)
+                        },
+                        &FdConfig::default(),
+                    )?;
+                }
+                Ok(())
             },
         },
         OpCheck {
@@ -458,60 +498,9 @@ fn registry_impl() -> Vec<OpCheck> {
                 )
             },
         },
-        OpCheck {
-            op: "SumAxis0",
-            run: |rng| {
-                let (m, n) = rand_matrix_shape(rng);
-                let data = uniform(rng, m * n, -1.0, 1.0);
-                let wseed = rng.gen::<u64>();
-                check_fn(
-                    &[("x", vec![m, n], data)],
-                    &move |g, ps| {
-                        let x = g.param(ps, ps.id_of("x").unwrap());
-                        let y = g.sum_axis0(x);
-                        let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
-                        weighted(g, y, &mut wrng)
-                    },
-                    &FdConfig::default(),
-                )
-            },
-        },
-        OpCheck {
-            op: "SumAxis1",
-            run: |rng| {
-                let (m, n) = rand_matrix_shape(rng);
-                let data = uniform(rng, m * n, -1.0, 1.0);
-                let wseed = rng.gen::<u64>();
-                check_fn(
-                    &[("x", vec![m, n], data)],
-                    &move |g, ps| {
-                        let x = g.param(ps, ps.id_of("x").unwrap());
-                        let y = g.sum_axis1(x);
-                        let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
-                        weighted(g, y, &mut wrng)
-                    },
-                    &FdConfig::default(),
-                )
-            },
-        },
-        OpCheck {
-            op: "MeanAxis0",
-            run: |rng| {
-                let (m, n) = rand_matrix_shape(rng);
-                let data = uniform(rng, m * n, -1.0, 1.0);
-                let wseed = rng.gen::<u64>();
-                check_fn(
-                    &[("x", vec![m, n], data)],
-                    &move |g, ps| {
-                        let x = g.param(ps, ps.id_of("x").unwrap());
-                        let y = g.mean_axis0(x);
-                        let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
-                        weighted(g, y, &mut wrng)
-                    },
-                    &FdConfig::default(),
-                )
-            },
-        },
+        OpCheck { op: "SumAxis0", run: |rng| matrix_check(rng, Graph::sum_axis0) },
+        OpCheck { op: "SumAxis1", run: |rng| matrix_check(rng, Graph::sum_axis1) },
+        OpCheck { op: "MeanAxis0", run: |rng| matrix_check(rng, Graph::mean_axis0) },
         OpCheck {
             op: "Relu",
             run: |rng| {
@@ -627,41 +616,47 @@ fn registry_impl() -> Vec<OpCheck> {
         OpCheck {
             op: "ScatterAddRows",
             run: |rng| {
-                let cols = rng.gen_range(1..4);
-                let data = uniform(rng, 4 * cols, -1.0, 1.0);
                 // Rows 0 and 2 both land on output row 1: the
-                // duplicate-index accumulation path.
-                let idx = vec![1, 0, 1, rng.gen_range(0..3)];
-                let wseed = rng.gen::<u64>();
-                check_fn(
-                    &[("x", vec![4, cols], data)],
-                    &move |g, ps| {
-                        let x = g.param(ps, ps.id_of("x").unwrap());
-                        let y = g.scatter_add_rows(x, &idx, 3);
-                        let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
-                        weighted(g, y, &mut wrng)
-                    },
-                    &FdConfig::default(),
-                )
+                // duplicate-index accumulation path. Two columns keep
+                // the `[3, cols]` output non-square; then a random width.
+                for cols in [2, rng.gen_range(1..4)] {
+                    let data = uniform(rng, 4 * cols, -1.0, 1.0);
+                    let idx = vec![1, 0, 1, rng.gen_range(0..3)];
+                    let wseed = rng.gen::<u64>();
+                    check_fn(
+                        &[("x", vec![4, cols], data)],
+                        &move |g, ps| {
+                            let x = g.param(ps, ps.id_of("x").unwrap());
+                            let y = g.scatter_add_rows(x, &idx, 3);
+                            let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
+                            weighted(g, y, &mut wrng)
+                        },
+                        &FdConfig::default(),
+                    )?;
+                }
+                Ok(())
             },
         },
         OpCheck {
             op: "BroadcastRow",
             run: |rng| {
-                let d = rng.gen_range(1..5);
-                let data = uniform(rng, d, -1.0, 1.0);
-                let rows = rng.gen_range(1..4);
-                let wseed = rng.gen::<u64>();
-                check_fn(
-                    &[("x", vec![d], data)],
-                    &move |g, ps| {
-                        let x = g.param(ps, ps.id_of("x").unwrap());
-                        let y = g.broadcast_row(x, rows);
-                        let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
-                        weighted(g, y, &mut wrng)
-                    },
-                    &FdConfig::default(),
-                )
+                // `[2]` over 3 rows keeps the output non-square; then a
+                // random draw.
+                for (d, rows) in [(2, 3), (rng.gen_range(1..5), rng.gen_range(1..4))] {
+                    let data = uniform(rng, d, -1.0, 1.0);
+                    let wseed = rng.gen::<u64>();
+                    check_fn(
+                        &[("x", vec![d], data)],
+                        &move |g, ps| {
+                            let x = g.param(ps, ps.id_of("x").unwrap());
+                            let y = g.broadcast_row(x, rows);
+                            let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
+                            weighted(g, y, &mut wrng)
+                        },
+                        &FdConfig::default(),
+                    )?;
+                }
+                Ok(())
             },
         },
     ]

@@ -161,17 +161,17 @@ impl Graph {
         self.nodes[v.0].needs_grad
     }
 
-    /// The recorded op of a node (linter access).
+    /// The recorded op of a node (analyzer access).
     pub(crate) fn node_op(&self, v: Var) -> &Op {
         &self.nodes[v.0].op
     }
 
-    /// The recorded forward value of a node (linter access).
+    /// The recorded forward value of a node (analyzer access).
     pub(crate) fn node_value(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].value
     }
 
-    /// True when `v` is a non-parameter leaf — a value the linter may
+    /// True when `v` is a non-parameter leaf — a value the analyzer may
     /// treat as provably constant.
     pub(crate) fn is_constant(&self, v: Var) -> bool {
         matches!(self.nodes[v.0].op, Op::Leaf(None))
@@ -657,11 +657,11 @@ impl Graph {
             "backward() needs a scalar loss, got {}",
             self.nodes[loss.0].value.shape()
         );
-        // In debug builds, lint the tape's structural invariants before
-        // sweeping so corruption fails loudly at its origin node rather
-        // than as garbage gradients. Release builds skip this.
+        // In debug builds, run tapecheck's shape pass before sweeping so
+        // corruption fails loudly at its origin node rather than as
+        // garbage gradients. Release builds compile this out.
         #[cfg(debug_assertions)]
-        if let Some(d) = self.structural_diagnostics(loss).first() {
+        if let Some(d) = crate::tapecheck::abstract_shapes(self, loss).1.first() {
             panic!("tape linter: {d}");
         }
         let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
@@ -966,9 +966,9 @@ impl Graph {
     }
 }
 
-/// Fault injection for linter tests: these deliberately record broken
+/// Fault injection for analyzer tests: these deliberately record broken
 /// nodes that the eager constructors would reject, so
-/// [`Graph::check`](crate::check) has something to find.
+/// [`crate::tapecheck`] has something to find.
 #[cfg(test)]
 impl Graph {
     /// Records a `GatherRows` without bounds validation; out-of-range
@@ -990,9 +990,19 @@ impl Graph {
     }
 
     /// Overwrites a node's recorded forward value, breaking the
-    /// op/value shape agreement the linter verifies.
+    /// op/value shape agreement tapecheck's shape pass verifies.
     pub(crate) fn fault_override_value(&mut self, v: Var, value: Tensor) {
         self.nodes[v.0].value = value;
+    }
+
+    /// Records a `Dropout` with a caller-chosen mask (which the RNG draw
+    /// in [`Graph::dropout`] can never produce when it is non-finite).
+    pub(crate) fn fault_dropout_with_mask(&mut self, a: Var, mask: Vec<f32>) -> Var {
+        let av = &self.nodes[a.0].value;
+        let data = av.data().iter().zip(&mask).map(|(&x, &m)| x * m).collect();
+        let v = Tensor::from_vec(av.shape().clone(), data);
+        let ng = self.needs(a);
+        self.push(Op::Dropout(a, mask), v, ng)
     }
 }
 
@@ -1229,6 +1239,22 @@ mod tests {
             assert_eq!(y, dg, "grad must equal mask entry");
             assert!(y == 0.0 || (y - 2.0).abs() < 1e-6);
         }
+    }
+
+    /// The debug hook runs tapecheck's shape pass before the sweep: a
+    /// tape whose recorded value lies about its shape panics up front.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "tape linter: error[shape-mismatch] node 2 (Add)")]
+    fn backward_debug_hook_rejects_a_shape_lie() {
+        let (ps, id) = store_with([2], vec![1.0, 2.0]);
+        let mut g = Graph::new();
+        let p = g.param(&ps, id);
+        let c = g.constant(Tensor::from_vec([2], vec![3.0, 4.0]));
+        let sum = g.add(p, c);
+        g.fault_override_value(sum, Tensor::zeros([3]));
+        let loss = g.sum_all(sum);
+        let _ = g.backward(loss);
     }
 
     #[test]

@@ -1,46 +1,57 @@
-//! Static dataflow analysis over a recorded autograd tape.
+//! Tape analysis: the one producer of diagnostics over a recorded
+//! autograd tape.
 //!
-//! Where [`crate::check`] validates a tape against its *recorded
-//! forward values*, this module analyzes the `Op` graph alone — the
-//! program, not one execution of it — in three passes that never touch
-//! a kernel:
+//! A recorded [`Graph`] is a complete dataflow program — ops, edges,
+//! shapes, `needs_grad` bits — plus one execution of it (the recorded
+//! values). [`tapecheck_with`] runs four passes over the arena, none of
+//! which executes a kernel:
 //!
-//! 1. **Abstract shape interpretation** ([`abstract_shapes`]): every
-//!    node's output shape is re-derived symbolically, bottom-up from
-//!    the leaf shapes, through the same centralized inference the eager
-//!    constructors use ([`crate::check`]'s `infer_shape_with`). Each
-//!    derived shape is cross-checked against the recorded one; a
-//!    disagreement is a "shape lie" — a tape whose values no longer
-//!    match its program. The [`registry`] audits this pass against
-//!    [`ALL_OPS`] both ways, in the style of the gradcheck registry, so
-//!    a new `Op` variant cannot ship without an abstract shape rule.
+//! 1. **Shapes and indices** ([`abstract_shapes`]): every node's output
+//!    shape is re-derived from its op and its inputs' recorded shapes
+//!    through the same centralized inference the eager constructors use
+//!    ([`crate::check`]'s `infer_shape_with`) and cross-checked against
+//!    the recorded one (`shape-mismatch`, `shape-error`, `oob-index`),
+//!    and the loss must be a single element (`non-scalar-loss`). This
+//!    is the only per-node shape check in the crate: `backward()` runs
+//!    it under `debug_assertions` and [`Graph::diff_check`] runs it
+//!    before comparing values. Op coverage of the shape rules comes
+//!    from the gradcheck registry ([`crate::gradcheck`]), whose every
+//!    case goes through `diff_check` and is audited against
+//!    [`crate::check::ALL_OPS`].
 //! 2. **Gradient-flow reachability**: backward reachability from the
 //!    loss along differentiable edges, treating value-independent
 //!    gradient killers (`MulScalar(_, 0.0)`, an all-zero dropout mask,
 //!    an all-[`PAD`] gather) as cut edges. Reports dead parameters
 //!    (registered but receiving no gradient), zero-gradient subtapes
-//!    (nodes that reach the loss yet provably train nothing), and ops
-//!    whose outputs nothing consumes.
+//!    (nodes that reach the loss yet provably train nothing), ops whose
+//!    outputs nothing consumes, and nodes no root reaches (dead code).
 //! 3. **Liveness + memory planning** ([`memory_plan`]): last-use
 //!    computation per [`Var`] yielding a [`MemoryPlan`] — an
 //!    interval-graph buffer-reuse assignment and the predicted peak
 //!    live bytes of an executor that frees each value after its last
-//!    structural use (the arena executor ROADMAP item 3 calls for; the
-//!    eager [`Graph`] keeps everything alive, so `total_value_bytes`
-//!    is what we pay today and `peak_live_bytes` is the floor a
-//!    reuse-aware executor can reach). `perf --alloc-check` in
-//!    dekg-bench validates the prediction against the counting
+//!    structural use (the eager [`Graph`] keeps everything alive, so
+//!    `total_value_bytes` is what we pay today and `peak_live_bytes` is
+//!    the floor a reuse-aware executor can reach). `perf --alloc-check`
+//!    in dekg-bench validates the prediction against the counting
 //!    allocator.
+//! 4. **Values**: NaN/Inf hazards in the recorded values and payloads —
+//!    division by, `ln` or `sqrt` of a constant outside the op's
+//!    domain, non-finite dropout masks and scalar payloads, and the node
+//!    where a NaN/Inf first appears.
 //!
 //! Because GraIL-style subgraph scorers build thousands of small
-//! per-batch tapes, [`TapeCache`] amortizes analysis: tapes are keyed
-//! by [`structure_key`], a fingerprint of exactly the facts the passes
-//! consume (ops, edges, shapes, `needs_grad` bits, and *abstracted*
-//! payloads — index vectors collapse to their length and
-//! bounds/padding flags, dropout masks to their length and an all-zero
-//! flag). Two tapes with equal keys provably produce equal reports, so
-//! per-batch tapes that differ only in gathered indices or mask draws
-//! are analyzed once.
+//! per-batch tapes, [`TapeCache`] amortizes the three static passes:
+//! tapes are keyed by [`structure_key`], a fingerprint of exactly the
+//! facts those passes consume (ops, edges, shapes, `needs_grad` bits,
+//! and *abstracted* payloads — index vectors collapse to their length
+//! and bounds/padding flags, dropout masks to their length and an
+//! all-zero flag). Two tapes with equal keys provably produce equal
+//! static reports, so per-batch tapes that differ only in gathered
+//! indices or mask draws are analyzed once. The key ignores values, so
+//! the value pass never goes through the cache: `train --tape-report`
+//! (cached, per batch) reports the static passes, while
+//! [`tapecheck_with`] (`dekg check --tape`,
+//! `dekg_core::tape_check_dataset`) runs all four.
 //!
 //! ```
 //! use dekg_tensor::{Graph, ParamStore, Tensor};
@@ -61,62 +72,65 @@
 //! ```
 
 use crate::check::{
-    for_each_input, infer_shape_with, op_context, op_mnemonic, op_ordinal, Diagnostic, Severity,
-    ShapeErrorKind, ALL_OPS,
+    for_each_input, op_context, op_mnemonic, op_ordinal, Diagnostic, Severity, ShapeErrorKind,
 };
 use crate::params::ParamStore;
 use crate::shape::Shape;
 use crate::tape::{Graph, Op, Var, PAD};
-use crate::tensor::Tensor;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Bytes per tape element (`f32` values throughout).
 const BYTES_PER_ELEM: usize = 4;
 
 // ---------------------------------------------------------------------
-// Pass 1: abstract shape interpretation
+// Pass 1: shapes and indices
 // ---------------------------------------------------------------------
 
-/// Re-derives every node's shape from its op and its inputs' abstract
-/// shapes, bottom-up from the leaves, and cross-checks each against the
-/// recorded value's shape.
+/// Checks every node's op against its inputs' recorded shapes, and the
+/// loss against the scalar contract of `backward()`.
 ///
-/// Leaf shapes are the givens of the analysis; `Reshape` and
-/// `GatherFlat` carry a declared output shape the tape only persists
-/// through the recorded value, so it is read back as an op attribute.
-/// Every other shape is derived from the op alone.
+/// Each node's output shape is re-derived from its op and its inputs'
+/// recorded shapes (`Leaf`, `Reshape` and `GatherFlat` read their
+/// declared shape back from the recorded value) and compared with the
+/// node's own recorded shape: a disagreement is a `shape-mismatch`, a
+/// failed inference a `shape-error`, or an `oob-index` when an index
+/// falls outside its operand. Since inputs are always taken at their
+/// recorded shapes, one corrupted value yields one finding at its own
+/// node rather than a cascade downstream. A `loss` of more than one
+/// element is a `non-scalar-loss`, reported first.
 ///
-/// On a disagreement the pass reports a `shape-mismatch` (or
-/// `shape-error` / `oob-index` when inference itself fails) and then
-/// *recovers* by adopting the recorded shape, so downstream nodes are
-/// judged against consistent inputs and report their own faults rather
-/// than one fault's fallout.
-pub fn abstract_shapes(g: &Graph) -> (Vec<Shape>, Vec<Diagnostic>) {
-    let mut shapes: Vec<Shape> = Vec::with_capacity(g.len());
+/// Returns every node's recorded shape (what the memory plan sizes) and
+/// the findings.
+pub fn abstract_shapes(g: &Graph, loss: Var) -> (Vec<Shape>, Vec<Diagnostic>) {
     let mut diags = Vec::new();
+    let loss_shape = g.node_value(loss).shape();
+    if loss_shape.numel() != 1 {
+        diags.push(Diagnostic::error(
+            "non-scalar-loss",
+            Some(loss.index()),
+            op_mnemonic(g.node_op(loss)),
+            format!("backward() needs a scalar loss, got {loss_shape}"),
+        ));
+    }
+    let mut shapes: Vec<Shape> = Vec::with_capacity(g.len());
     for id in 0..g.len() {
-        let v = Var(id);
-        let op = g.node_op(v);
-        let recorded = g.node_value(v).shape();
+        let op = g.node_op(Var(id));
+        let recorded = g.node_value(Var(id)).shape();
         let declared =
             matches!(op, Op::Leaf(_) | Op::Reshape(_) | Op::GatherFlat(..)).then_some(recorded);
-        let inferred = infer_shape_with(op, declared, &|u: Var| &shapes[u.index()]);
-        match inferred {
-            Ok(abs) if abs.same_as(recorded) => shapes.push(abs),
-            Ok(abs) => {
-                diags.push(Diagnostic::error(
-                    "shape-mismatch",
-                    Some(id),
-                    op_mnemonic(op),
-                    format!(
-                        "recorded value has shape {recorded}, abstract interpretation derives \
-                         {abs} [{}]",
-                        op_context(g, op, id, Some(recorded))
-                    ),
-                ));
-                shapes.push(recorded.clone());
-            }
+        match g.infer_shape(op, declared) {
+            Ok(inferred) if inferred.same_as(recorded) => {}
+            Ok(inferred) => diags.push(Diagnostic::error(
+                "shape-mismatch",
+                Some(id),
+                op_mnemonic(op),
+                format!(
+                    "recorded value has shape {recorded}, abstract interpretation derives \
+                     {inferred} [{}]",
+                    op_context(g, op, id, Some(recorded))
+                ),
+            )),
             Err(e) => {
                 let code = match e.kind() {
                     ShapeErrorKind::OutOfBounds => "oob-index",
@@ -124,9 +138,9 @@ pub fn abstract_shapes(g: &Graph) -> (Vec<Shape>, Vec<Diagnostic>) {
                 };
                 let e = e.with_context(op_context(g, op, id, Some(recorded)));
                 diags.push(Diagnostic::error(code, Some(id), op_mnemonic(op), e.to_string()));
-                shapes.push(recorded.clone());
             }
         }
+        shapes.push(recorded.clone());
     }
     (shapes, diags)
 }
@@ -173,7 +187,9 @@ fn grad_reachable(g: &Graph, loss: Var) -> Vec<bool> {
     reach
 }
 
-/// Forward reachability over the whole arena from a set of roots.
+/// Marks every node some root reads, directly or transitively: the one
+/// reachability routine behind both the zero-grad check (rooted at the
+/// loss) and dead code (rooted at the loss plus the observed roots).
 fn value_reachable(g: &Graph, roots: &[Var]) -> Vec<bool> {
     let mut reach = vec![false; g.len()];
     let mut stack = Vec::new();
@@ -295,14 +311,14 @@ pub fn memory_plan(g: &Graph, shapes: &[Shape], roots: &[Var]) -> MemoryPlan {
 // The combined report
 // ---------------------------------------------------------------------
 
-/// Everything the three static passes found on one tape.
+/// Everything tape analysis found on one tape.
 #[derive(Debug, Clone)]
 pub struct TapeReport {
     /// All findings, shape pass first, then gradient flow, then
-    /// structure — each order deterministic.
+    /// structure, then values (absent from [`TapeCache`] reports) —
+    /// each order deterministic.
     pub diagnostics: Vec<Diagnostic>,
-    /// The abstract shape derived for every node (equal to the recorded
-    /// shape on a clean tape; recorded shapes where recovery kicked in).
+    /// The recorded shape of every node, as pass 1 checked it.
     pub shapes: Vec<Shape>,
     /// Arena length at analysis time.
     pub num_nodes: usize,
@@ -377,7 +393,8 @@ impl TapeReport {
     }
 }
 
-/// Runs all three static passes over the arena.
+/// Runs all four passes over the arena: the three static ones of
+/// [`TapeCache`] plus the value pass.
 ///
 /// `observed` declares outputs beyond the loss that are read by the
 /// caller (e.g. the diagnostic-only loss components the training loop
@@ -390,21 +407,31 @@ pub fn tapecheck_with(
     observed: &[Var],
     params: Option<&ParamStore>,
 ) -> TapeReport {
+    let mut report = static_report(g, loss, observed, params);
+    report.diagnostics.extend(value_diagnostics(g));
+    report
+}
+
+/// Passes 1–3: everything [`structure_key`] determines, hence what
+/// [`TapeCache`] memoizes.
+fn static_report(
+    g: &Graph,
+    loss: Var,
+    observed: &[Var],
+    params: Option<&ParamStore>,
+) -> TapeReport {
     let n = g.len();
     let mut roots = vec![loss];
     roots.extend(observed.iter().copied().filter(|v| *v != loss));
 
-    let (shapes, mut diagnostics) = abstract_shapes(g);
+    let (shapes, mut diagnostics) = abstract_shapes(g, loss);
 
     // -- gradient flow --
     let grad_live = grad_reachable(g, loss);
-    let loss_live = g.live_set(loss);
+    let loss_live = value_reachable(g, &[loss]);
     let zero_grad: Vec<usize> = (0..n)
         .filter(|&id| {
-            id != loss.index()
-                && loss_live.get(id).copied().unwrap_or(false)
-                && g.node_needs_grad(Var(id))
-                && !grad_live[id]
+            id != loss.index() && loss_live[id] && g.node_needs_grad(Var(id)) && !grad_live[id]
         })
         .collect();
     if !zero_grad.is_empty() {
@@ -496,10 +523,84 @@ pub fn tapecheck_with(
     }
 }
 
+// ---------------------------------------------------------------------
+// Pass 4: values
+// ---------------------------------------------------------------------
+
+/// Pass 4: NaN/Inf hazards that live in recorded values and payloads,
+/// which [`structure_key`] deliberately ignores — so this pass runs on
+/// every [`tapecheck_with`] call and never through [`TapeCache`].
+///
+/// Per node, in recording order: division by a constant containing 0
+/// (`div-by-zero`), `ln` of a constant with a value <= 0
+/// (`log-nonpositive`), `sqrt` of a constant with a negative value
+/// (`sqrt-negative`), a NaN/Inf dropout mask (`non-finite-mask`) or
+/// scalar payload (`non-finite-scalar`) — these corrupt gradients even
+/// while every value looks finite — and a value that introduces NaN/Inf
+/// from finite inputs (`non-finite`, reported at its origin only).
+fn value_diagnostics(g: &Graph) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let constant_with = |v: Var, bad: fn(f32) -> bool| {
+        g.is_constant(v) && g.node_value(v).data().iter().any(|&x| bad(x))
+    };
+    for id in 0..g.len() {
+        let op = g.node_op(Var(id));
+        match op {
+            Op::Div(_, b) if constant_with(*b, |x| x == 0.0) => out.push(Diagnostic::warning(
+                "div-by-zero",
+                Some(id),
+                "Div",
+                format!("divides by constant node {} which contains 0", b.index()),
+            )),
+            Op::Ln(a) if constant_with(*a, |x| x <= 0.0) => out.push(Diagnostic::warning(
+                "log-nonpositive",
+                Some(id),
+                "Ln",
+                format!("takes ln of constant node {} with a value <= 0", a.index()),
+            )),
+            Op::Sqrt(a) if constant_with(*a, |x| x < 0.0) => out.push(Diagnostic::warning(
+                "sqrt-negative",
+                Some(id),
+                "Sqrt",
+                format!("takes sqrt of constant node {} with a negative value", a.index()),
+            )),
+            Op::Dropout(_, mask) if mask.iter().any(|m| !m.is_finite()) => {
+                out.push(Diagnostic::warning(
+                    "non-finite-mask",
+                    Some(id),
+                    "Dropout",
+                    "recorded dropout mask contains NaN or Inf",
+                ));
+            }
+            Op::AddScalar(_, s) | Op::MulScalar(_, s) if !s.is_finite() => {
+                out.push(Diagnostic::warning(
+                    "non-finite-scalar",
+                    Some(id),
+                    op_mnemonic(op),
+                    format!("scalar payload {s} is not finite"),
+                ));
+            }
+            _ => {}
+        }
+        if g.node_value(Var(id)).has_non_finite() {
+            let mut inputs_finite = true;
+            for_each_input(op, |u| inputs_finite &= !g.node_value(u).has_non_finite());
+            if inputs_finite {
+                out.push(Diagnostic::warning(
+                    "non-finite",
+                    Some(id),
+                    op_mnemonic(op),
+                    "forward value introduces NaN or Inf from finite inputs",
+                ));
+            }
+        }
+    }
+    out
+}
+
 impl Graph {
-    /// Static analysis of the tape below (and around) `loss`: abstract
-    /// shape interpretation, gradient-flow reachability, and the
-    /// liveness/memory plan. See the [`crate::tapecheck`] module docs.
+    /// All four tape-analysis passes over the tape below (and around)
+    /// `loss`. See the [`crate::tapecheck`] module docs.
     pub fn tapecheck(&self, loss: Var) -> TapeReport {
         tapecheck_with(self, loss, &[], None)
     }
@@ -553,8 +654,9 @@ impl Fnv {
     }
 }
 
-/// Fingerprints exactly the facts the three passes consume, so equal
-/// keys imply equal [`TapeReport`]s.
+/// Fingerprints exactly the facts the three static passes consume, so
+/// equal keys imply equal static [`TapeReport`]s. Values are not
+/// hashed, which is why the value pass stays outside [`TapeCache`].
 ///
 /// Per node: op ordinal, `needs_grad` bit, recorded shape, input `Var`
 /// ids, and an *abstraction* of the payload — index vectors collapse to
@@ -637,12 +739,15 @@ pub fn structure_key(g: &Graph, loss: Var, observed: &[Var], params: Option<&Par
     h.0
 }
 
-/// Memoizes [`tapecheck_with`] by [`structure_key`].
+/// Memoizes the three static passes of [`tapecheck_with`] by
+/// [`structure_key`].
 ///
 /// The training loop holds one of these across batches: per-batch tapes
 /// of identical structure (the common case within an epoch at a fixed
 /// batch size and subgraph census) are analyzed once and served from
-/// the cache afterwards.
+/// the cache afterwards. Cached reports carry no value-pass findings:
+/// those depend on recorded values the key ignores, so callers that
+/// want them run [`tapecheck_with`].
 #[derive(Debug, Default)]
 pub struct TapeCache {
     entries: BTreeMap<u64, TapeReport>,
@@ -656,8 +761,8 @@ impl TapeCache {
         Self::default()
     }
 
-    /// Returns the report for this tape's structure, computing it on
-    /// first sight and serving every structurally identical tape from
+    /// Returns the static report for this tape's structure, computing it
+    /// on first sight and serving every structurally identical tape from
     /// the cache afterwards.
     pub fn analyze(
         &mut self,
@@ -674,7 +779,7 @@ impl TapeCache {
             }
             Entry::Vacant(e) => {
                 self.misses += 1;
-                e.insert(tapecheck_with(g, loss, observed, params))
+                e.insert(static_report(g, loss, observed, params))
             }
         }
     }
@@ -684,7 +789,7 @@ impl TapeCache {
         self.hits
     }
 
-    /// Lookups that ran the full analysis.
+    /// Lookups that ran the static passes.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -700,224 +805,10 @@ impl TapeCache {
     }
 }
 
-// ---------------------------------------------------------------------
-// Op-coverage audit (registry <-> ALL_OPS, both ways)
-// ---------------------------------------------------------------------
-
-/// One registered abstract-shape rule: builds a tiny tape exercising
-/// its op and asserts the abstract shapes match the executed ones
-/// node-for-node.
-pub struct ShapeRule {
-    /// The [`ALL_OPS`] mnemonic this rule covers.
-    pub op: &'static str,
-    /// Builds the probe tape and checks it; `Err` carries the detail.
-    pub run: fn() -> Result<(), String>,
-}
-
-/// Asserts the whole arena's abstract shapes equal the executed ones.
-fn expect_clean(g: &Graph) -> Result<(), String> {
-    let (shapes, diags) = abstract_shapes(g);
-    if let Some(d) = diags.first() {
-        return Err(format!("abstract interpretation flagged a well-formed tape: {d}"));
-    }
-    for (id, s) in shapes.iter().enumerate() {
-        let recorded = g.shape(Var(id));
-        if !s.same_as(recorded) {
-            return Err(format!("node {id}: abstract shape {s} != executed shape {recorded}"));
-        }
-    }
-    Ok(())
-}
-
-/// A deterministic constant with the given dims (values kept positive
-/// so `sqrt`/`ln` probes stay finite).
-fn probe(g: &mut Graph, dims: &[usize]) -> Var {
-    let n: usize = dims.iter().product();
-    let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() + 1.5).collect();
-    g.constant(Tensor::from_vec(dims.to_vec(), data))
-}
-
-fn unary_probe(f: fn(&mut Graph, Var) -> Var) -> Result<(), String> {
-    let mut g = Graph::new();
-    let a = probe(&mut g, &[2, 3]);
-    f(&mut g, a);
-    expect_clean(&g)
-}
-
-fn binary_probe(f: fn(&mut Graph, Var, Var) -> Var) -> Result<(), String> {
-    let mut g = Graph::new();
-    let a = probe(&mut g, &[2, 3]);
-    let b = probe(&mut g, &[2, 3]);
-    f(&mut g, a, b);
-    expect_clean(&g)
-}
-
-/// Every abstract-shape rule, one per [`ALL_OPS`] mnemonic. The
-/// coverage audit ([`coverage_gaps`]) diffs this registry against
-/// `ALL_OPS` both ways, exactly like the gradcheck registry: an op
-/// without a rule, or a rule naming a vanished op, fails the build.
-pub fn registry() -> Vec<ShapeRule> {
-    fn rule(op: &'static str, run: fn() -> Result<(), String>) -> ShapeRule {
-        ShapeRule { op, run }
-    }
-    vec![
-        rule("Param", || {
-            let mut ps = ParamStore::new();
-            let w = ps.insert("w", Tensor::ones([2, 3]));
-            let mut g = Graph::new();
-            g.param(&ps, w);
-            expect_clean(&g)
-        }),
-        rule("Constant", || {
-            let mut g = Graph::new();
-            probe(&mut g, &[2, 2]);
-            expect_clean(&g)
-        }),
-        rule("Add", || binary_probe(Graph::add)),
-        rule("Sub", || binary_probe(Graph::sub)),
-        rule("Mul", || binary_probe(Graph::mul)),
-        rule("Div", || binary_probe(Graph::div)),
-        rule("Neg", || unary_probe(Graph::neg)),
-        rule("AddScalar", || {
-            let mut g = Graph::new();
-            let a = probe(&mut g, &[2, 3]);
-            g.add_scalar(a, 0.25);
-            expect_clean(&g)
-        }),
-        rule("MulScalar", || {
-            let mut g = Graph::new();
-            let a = probe(&mut g, &[2, 3]);
-            g.mul_scalar(a, 0.5);
-            expect_clean(&g)
-        }),
-        rule("Matmul", || {
-            let mut g = Graph::new();
-            let a = probe(&mut g, &[2, 3]);
-            let b = probe(&mut g, &[3, 4]);
-            g.matmul(a, b);
-            expect_clean(&g)
-        }),
-        rule("GatherRows", || {
-            let mut g = Graph::new();
-            let a = probe(&mut g, &[3, 2]);
-            g.gather_rows(a, &[2, 0, 2, 1]);
-            expect_clean(&g)
-        }),
-        rule("GatherFlat", || {
-            let mut g = Graph::new();
-            let a = probe(&mut g, &[4]);
-            g.gather_flat(a, &[3, PAD, 0], [3]);
-            expect_clean(&g)
-        }),
-        rule("Reshape", || {
-            let mut g = Graph::new();
-            let a = probe(&mut g, &[2, 3]);
-            g.reshape(a, [3, 2]);
-            expect_clean(&g)
-        }),
-        rule("ConcatRows", || {
-            let mut g = Graph::new();
-            let a = probe(&mut g, &[2, 3]);
-            let b = probe(&mut g, &[1, 3]);
-            g.concat_rows(&[a, b]);
-            let x = probe(&mut g, &[2]);
-            let y = probe(&mut g, &[3]);
-            g.concat_rows(&[x, y]);
-            expect_clean(&g)
-        }),
-        rule("ConcatCols", || {
-            let mut g = Graph::new();
-            let a = probe(&mut g, &[2, 2]);
-            let b = probe(&mut g, &[2, 3]);
-            g.concat_cols(&[a, b]);
-            expect_clean(&g)
-        }),
-        rule("SumAll", || unary_probe(Graph::sum_all)),
-        rule("MeanAll", || unary_probe(Graph::mean_all)),
-        rule("SumAxis0", || unary_probe(Graph::sum_axis0)),
-        rule("SumAxis1", || unary_probe(Graph::sum_axis1)),
-        rule("MeanAxis0", || unary_probe(Graph::mean_axis0)),
-        rule("Relu", || unary_probe(Graph::relu)),
-        rule("Sigmoid", || unary_probe(Graph::sigmoid)),
-        rule("Tanh", || unary_probe(Graph::tanh)),
-        rule("Sqrt", || unary_probe(Graph::sqrt)),
-        rule("Exp", || unary_probe(Graph::exp)),
-        rule("Ln", || unary_probe(Graph::ln)),
-        rule("Sin", || unary_probe(Graph::sin)),
-        rule("Cos", || unary_probe(Graph::cos)),
-        rule("Square", || unary_probe(Graph::square)),
-        rule("Abs", || unary_probe(Graph::abs)),
-        rule("Dropout", || {
-            use rand::SeedableRng;
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-            let mut g = Graph::new();
-            let a = probe(&mut g, &[2, 4]);
-            g.dropout(a, 0.5, &mut rng);
-            expect_clean(&g)
-        }),
-        rule("StackScalars", || {
-            let mut g = Graph::new();
-            let a = g.scalar(0.3);
-            let b = g.scalar(0.7);
-            g.stack_scalars(&[a, b]);
-            expect_clean(&g)
-        }),
-        rule("ScatterAddRows", || {
-            let mut g = Graph::new();
-            let src = probe(&mut g, &[3, 2]);
-            g.scatter_add_rows(src, &[0, 1, 0], 2);
-            expect_clean(&g)
-        }),
-        rule("BroadcastRow", || {
-            let mut g = Graph::new();
-            let a = probe(&mut g, &[3]);
-            g.broadcast_row(a, 4);
-            expect_clean(&g)
-        }),
-    ]
-}
-
-/// Two-way diff of the rule names against [`ALL_OPS`]; non-empty means
-/// an op shipped without an abstract shape rule (or a rule went stale).
-pub fn coverage_gaps() -> Vec<String> {
-    let reg = registry();
-    let names: Vec<&str> = reg.iter().map(|r| r.op).collect();
-    gaps_between(ALL_OPS, &names)
-}
-
-fn gaps_between(ops: &[&str], registered: &[&str]) -> Vec<String> {
-    let have: BTreeSet<&str> = registered.iter().copied().collect();
-    let known: BTreeSet<&str> = ops.iter().copied().collect();
-    let mut gaps: Vec<String> = known
-        .difference(&have)
-        .map(|s| format!("op {s} has no registered abstract shape rule"))
-        .collect();
-    gaps.extend(
-        have.difference(&known).map(|s| format!("shape rule {s} matches no known op variant")),
-    );
-    gaps
-}
-
-/// Runs the coverage audit plus every registered rule, returning one
-/// [`Diagnostic`] per gap (`tapecheck-uncovered`) or failing probe
-/// (`tapecheck-failed`). Empty means the abstract interpreter fully
-/// covers the op set.
-pub fn run_all() -> Vec<Diagnostic> {
-    let mut out: Vec<Diagnostic> = coverage_gaps()
-        .into_iter()
-        .map(|gap| Diagnostic::error("tapecheck-uncovered", None, "registry", gap))
-        .collect();
-    for shape_rule in registry() {
-        if let Err(msg) = (shape_rule.run)() {
-            out.push(Diagnostic::error("tapecheck-failed", None, shape_rule.op, msg));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
     use std::path::PathBuf;
 
     fn two_param_store() -> (ParamStore, crate::params::ParamId, crate::params::ParamId) {
@@ -927,35 +818,11 @@ mod tests {
         (ps, a, b)
     }
 
-    #[test]
-    fn every_op_variant_has_a_shape_rule() {
-        let gaps = coverage_gaps();
-        assert!(gaps.is_empty(), "coverage gaps: {gaps:?}");
-    }
-
-    #[test]
-    fn unregistered_op_variant_fails_the_audit() {
-        let reg = registry();
-        let names: Vec<&str> = reg.iter().map(|r| r.op).filter(|o| *o != "Matmul").collect();
-        let gaps = gaps_between(ALL_OPS, &names);
-        assert_eq!(gaps.len(), 1, "gaps: {gaps:?}");
-        assert!(gaps[0].contains("Matmul"), "gaps: {gaps:?}");
-    }
-
-    #[test]
-    fn stale_registration_fails_the_audit() {
-        let reg = registry();
-        let mut names: Vec<&str> = reg.iter().map(|r| r.op).collect();
-        names.push("Conv2d");
-        let gaps = gaps_between(ALL_OPS, &names);
-        assert_eq!(gaps.len(), 1, "gaps: {gaps:?}");
-        assert!(gaps[0].contains("Conv2d"), "gaps: {gaps:?}");
-    }
-
-    #[test]
-    fn full_registry_passes() {
-        let diags = run_all();
-        assert!(diags.is_empty(), "diags: {diags:?}");
+    /// A deterministic positive constant with the given dims.
+    fn constant_of(g: &mut Graph, dims: &[usize]) -> Var {
+        let n: usize = dims.iter().product();
+        let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() + 1.5).collect();
+        g.constant(Tensor::from_vec(dims.to_vec(), data))
     }
 
     #[test]
@@ -976,7 +843,7 @@ mod tests {
     #[test]
     fn memory_plan_reuses_buffers_on_a_unary_chain() {
         let mut g = Graph::new();
-        let mut x = probe(&mut g, &[4, 4]);
+        let mut x = constant_of(&mut g, &[4, 4]);
         for _ in 0..6 {
             x = g.relu(x);
         }
@@ -1053,11 +920,40 @@ mod tests {
         assert_eq!(cache.len(), 2);
     }
 
+    /// The value pass sees what the structure key does not: two tapes
+    /// sharing a key share one cached static report, while only
+    /// [`tapecheck_with`] reports the non-finite constant.
+    #[test]
+    fn value_findings_stay_out_of_the_cache() {
+        fn build(c: f32) -> (Graph, Var) {
+            let mut g = Graph::new();
+            let x = g.constant(Tensor::from_vec([2], vec![1.0, c]));
+            let sq = g.square(x);
+            let loss = g.sum_all(sq);
+            (g, loss)
+        }
+        let (finite, l1) = build(2.0);
+        let (poisoned, l2) = build(f32::INFINITY);
+        assert_eq!(structure_key(&finite, l1, &[], None), structure_key(&poisoned, l2, &[], None));
+
+        let mut cache = TapeCache::new();
+        let first = cache.analyze(&finite, l1, &[], None).render();
+        let second = cache.analyze(&poisoned, l2, &[], None).render();
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(first, second);
+        assert_eq!(first, static_report(&poisoned, l2, &[], None).render());
+
+        assert!(tapecheck_with(&finite, l1, &[], None).is_clean());
+        let full = tapecheck_with(&poisoned, l2, &[], None);
+        assert_eq!(full.diagnostics.len(), 1, "diags: {:?}", full.diagnostics);
+        assert_eq!((full.diagnostics[0].code, full.diagnostics[0].node), ("non-finite", Some(0)));
+    }
+
     #[test]
     fn structure_key_sees_grad_killing_payloads() {
         fn build(s: f32) -> (Graph, Var) {
             let mut g = Graph::new();
-            let a = probe(&mut g, &[2, 2]);
+            let a = constant_of(&mut g, &[2, 2]);
             let m = g.mul_scalar(a, s);
             let loss = g.sum_all(m);
             (g, loss)
@@ -1079,9 +975,12 @@ mod tests {
         ("dead-param", red_dead_param),
         ("shape-mismatch", red_shape_lie),
         ("unconsumed-op", red_unconsumed_op),
+        ("non-scalar-loss", red_non_scalar_loss),
+        ("div-by-zero", red_div_by_zero),
     ];
 
-    const RED_CODES: &[&str] = &["dead-param", "shape-mismatch", "unconsumed-op"];
+    const RED_CODES: &[&str] =
+        &["dead-param", "shape-mismatch", "unconsumed-op", "non-scalar-loss", "div-by-zero"];
 
     fn red_dead_param() -> TapeReport {
         let (ps, a, _b) = two_param_store();
@@ -1112,6 +1011,26 @@ mod tests {
         let sq = g.square(a);
         let loss = g.sum_all(sq);
         let _ = dangling;
+        g.tapecheck(loss)
+    }
+
+    fn red_non_scalar_loss() -> TapeReport {
+        let (ps, a, _b) = two_param_store();
+        let mut g = Graph::new();
+        let av = g.param(&ps, a);
+        // The reduction to a scalar was forgotten.
+        let sq = g.square(av);
+        g.tapecheck(sq)
+    }
+
+    fn red_div_by_zero() -> TapeReport {
+        let (ps, a, _b) = two_param_store();
+        let mut g = Graph::new();
+        let av = g.param(&ps, a);
+        let z = g.constant(Tensor::from_vec([2], vec![1.0, 0.0]));
+        // The division by zero also produces an Inf at the Div node.
+        let q = g.div(av, z);
+        let loss = g.sum_all(q);
         g.tapecheck(loss)
     }
 

@@ -48,13 +48,14 @@ cargo run -q --release --offline -p dekg-cli -- \
 cargo run -q --release --offline -p dekg-cli -- \
     check --data "$tmp/data" --raw fb --split eq --scale 0.05 --grads
 
-echo "==> dekg check --tape: static analysis of the production training tape"
-# Abstract shape interpretation, gradient-flow reachability and the
-# liveness/memory plan over one recorded training batch — no kernel
-# executes during the analysis. The red fixtures (dead parameter, lying
-# shape, unconsumed op) and the 34-variant coverage audit run inside
-# `cargo test -p dekg-tensor` above; this smokes the CLI wiring plus
-# the machine-readable face.
+echo "==> dekg check --tape: tape analysis of the production training tape"
+# All four tapecheck passes (shapes and indices, gradient-flow
+# reachability, the liveness/memory plan, NaN/Inf values) over the same
+# recorded training batch `--grads` checks above — no kernel executes
+# during the analysis. The red fixtures run inside `cargo test -p
+# dekg-tensor` above; op coverage of the shape rules is the gradcheck
+# audit that `--grads` runs. This smokes the CLI wiring plus the
+# machine-readable face.
 cargo run -q --release --offline -p dekg-cli -- \
     check --data "$tmp/data" --tape
 cargo run -q --release --offline -p dekg-cli -- \
