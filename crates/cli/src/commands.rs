@@ -387,7 +387,10 @@ pub fn train(flags: &Flags) -> CliResult {
     );
 
     model.save_checkpoint(ckpt)?;
-    std::fs::write(format!("{ckpt}.json"), serde_json::to_string_pretty(&cfg)?)?;
+    dekg_core::write_file_atomic(
+        format!("{ckpt}.json"),
+        serde_json::to_string_pretty(&cfg)?.as_bytes(),
+    )?;
     dekg_obs::log_info!("checkpoint written to {ckpt} (+ {ckpt}.json)");
     obs_finish(flags)
 }

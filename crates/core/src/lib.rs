@@ -56,7 +56,7 @@ pub mod prelude {
 }
 
 pub use config::{Ablation, DekgIlpConfig};
-pub use model::DekgIlp;
+pub use model::{write_file_atomic, DekgIlp};
 pub use profile::{profile_eval, profile_train, profile_train_outputs, ProfileReport};
 pub use train::{
     batch_loss, batch_loss_parts, grad_check_dataset, prepare_batch, record_prepared,

@@ -218,9 +218,11 @@ impl DekgIlp {
         self.num_relations
     }
 
-    /// Writes the trained parameters to a binary checkpoint file.
+    /// Writes the trained parameters to a binary checkpoint file,
+    /// crash-consistently (see [`write_file_atomic`]): a reader of
+    /// `path` sees the previous checkpoint or this one, never a torn mix.
     pub fn save_checkpoint(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, dekg_tensor::serialize::encode(&self.params))
+        write_file_atomic(path, &dekg_tensor::serialize::encode(&self.params))
     }
 
     /// Restores parameters from a checkpoint produced by
@@ -440,6 +442,60 @@ impl TrainableModel for DekgIlp {
     }
 }
 
+/// Replaces the file at `path` with `bytes` crash-consistently. The
+/// bytes go to a temp file in the same directory, which is synced and
+/// then renamed over `path` — one atomic step on POSIX filesystems —
+/// and the directory is synced so the rename survives a crash. A
+/// concurrent reader, or one after a crash mid-write, finds either the
+/// old contents or the new ones; a failed write leaves `path` untouched
+/// and removes its temp file. Checkpoints and their `.json` config
+/// sidecars are written through here.
+///
+/// # Errors
+/// IO failures creating, writing, syncing or renaming the temp file, or
+/// a `path` without a file name.
+pub fn write_file_atomic(path: impl AsRef<std::path::Path>, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    write_file_atomic_with(path.as_ref(), |file| file.write_all(bytes))
+}
+
+/// [`write_file_atomic`] with the payload produced by `write` into the
+/// temp file; an error from `write` aborts before the rename.
+fn write_file_atomic_with(
+    path: &std::path::Path,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+    })?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(
+        ".tmp-{}-{}",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        write(&mut file)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return written;
+    }
+    // Make the rename itself durable: it lives in the directory entry.
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,5 +620,58 @@ mod tests {
         let model = DekgIlp::new(DekgIlpConfig::quick(), &d, &mut rng);
         let graph = InferenceGraph::from_dataset(&d);
         assert!(model.score_batch(&graph, &[]).is_empty());
+    }
+
+    /// Every leftover temp file next to `path` (the writer's own naming).
+    fn temp_files_beside(path: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let prefix = format!(".{}.tmp-", path.file_name().unwrap().to_string_lossy());
+        let mut found: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with(&prefix))
+            .collect();
+        found.sort();
+        found
+    }
+
+    #[test]
+    fn failed_or_partial_checkpoint_write_keeps_the_previous_one_loadable() {
+        let d = tiny_dataset();
+        let dir = std::env::temp_dir().join(format!("dekg_atomic_ckpt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.bin");
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let old = DekgIlp::new(DekgIlpConfig::quick(), &d, &mut rng);
+        old.save_checkpoint(&path).unwrap();
+        let old_bytes = std::fs::read(&path).unwrap();
+
+        // A writer that fails half-way through a different model's
+        // checkpoint: the error surfaces, and nothing of it lands.
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let new = DekgIlp::new(DekgIlpConfig::quick(), &d, &mut rng);
+        let new_bytes = dekg_tensor::serialize::encode(new.params()).to_vec();
+        let failed = write_file_atomic_with(&path, |file| {
+            use std::io::Write;
+            file.write_all(&new_bytes[..new_bytes.len() / 2])?;
+            Err(std::io::Error::other("disk full"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), old_bytes);
+        assert!(temp_files_beside(&path).is_empty(), "a failed write must clean up");
+
+        // A writer killed mid-write leaves a torn temp file behind; the
+        // checkpoint itself still restores the previous model exactly.
+        let torn = dir.join(".model.bin.tmp-0-0");
+        std::fs::write(&torn, &new_bytes[..new_bytes.len() / 2]).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut restored = DekgIlp::new(DekgIlpConfig::quick(), &d, &mut rng);
+        restored.load_checkpoint(&path).unwrap();
+        assert_eq!(dekg_tensor::serialize::encode(restored.params()).to_vec(), old_bytes);
+
+        // The next complete save replaces the checkpoint as a whole.
+        new.save_checkpoint(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), new_bytes);
+        assert_eq!(temp_files_beside(&path), vec![torn]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

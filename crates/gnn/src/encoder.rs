@@ -371,6 +371,11 @@ mod tests {
         assert!(diags.is_empty(), "encoder tape should be clean: {diags:?}");
     }
 
+    /// Bit patterns, so `-0.0` and `+0.0` (equal as floats) differ.
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// Packs `sgs`, encodes the pack forward-only, and requires every
     /// segment's node rows, pooled graph row and endpoint rows to equal
     /// the tape encoding of that subgraph alone, bit for bit.
@@ -386,14 +391,19 @@ mod tests {
             let rows = batch.segment(i);
             let ctx = format!("segment {i}, {:?}", enc.config());
             assert_eq!(
-                g.value(tape.nodes).data(),
-                &ws.h_a[rows.start * dim..rows.end * dim],
+                bits(g.value(tape.nodes).data()),
+                bits(&ws.h_a[rows.start * dim..rows.end * dim]),
                 "nodes: {ctx}"
             );
             let row = i * dim..(i + 1) * dim;
-            assert_eq!(g.value(tape.graph).data(), &ws.graph[row.clone()], "graph: {ctx}");
-            assert_eq!(g.value(tape.head).data(), &ws.heads[row.clone()], "head: {ctx}");
-            assert_eq!(g.value(tape.tail).data(), &ws.tails[row], "tail: {ctx}");
+            let pairs = [
+                ("graph", tape.graph, &ws.graph),
+                ("head", tape.head, &ws.heads),
+                ("tail", tape.tail, &ws.tails),
+            ];
+            for (what, var, packed) in pairs {
+                assert_eq!(bits(g.value(var).data()), bits(&packed[row.clone()]), "{what}: {ctx}");
+            }
         }
     }
 
@@ -476,6 +486,77 @@ mod tests {
                 );
                 assert_batched_matches_tape(&enc, &ps, &mixed_subgraphs());
             }
+        }
+    }
+
+    #[test]
+    fn batched_encoding_matches_tape_on_aggregation_edge_cases() {
+        // The fused aggregation's corner cases, packed together:
+        // * zero surviving edges (the tape skips the add, so must the
+        //   batched engine);
+        // * nodes with no incoming edge inside a segment that has edges
+        //   (their aggregate row is an explicit `+0.0` on both paths);
+        // * every relation with exactly one edge (one-row messages);
+        // * one destination fed by three edges of one relation and one of
+        //   another (f32 sums of three or more terms depend on order, so
+        //   this pins the scatter order across and within relations).
+        let store = TripleStore::from_triples([
+            Triple::from_raw(0, 0, 1),
+            Triple::from_raw(1, 1, 2),
+            Triple::from_raw(3, 0, 4),
+            Triple::from_raw(3, 1, 5),
+            Triple::from_raw(6, 0, 8),
+            Triple::from_raw(7, 0, 8),
+            Triple::from_raw(9, 0, 8),
+            Triple::from_raw(12, 1, 8),
+        ]);
+        let adj = Adjacency::from_store(&store, 13);
+        let ex = SubgraphExtractor::new(&adj, 2, ExtractionMode::Union);
+        let sgs = vec![
+            ex.extract(EntityId(10), EntityId(11), None), // edgeless
+            ex.extract(EntityId(0), EntityId(2), None),   // one edge per relation
+            ex.extract(EntityId(4), EntityId(5), None),   // node 3: no incoming edge
+            ex.extract(EntityId(6), EntityId(8), None),   // fan-in over two relations
+        ];
+        assert_eq!(sgs[0].num_edges(), 0);
+        let per_rel =
+            |sg: &Subgraph, r: usize| sg.edges.iter().filter(|e| e.rel.index() == r).count();
+        assert!((0..2).all(|r| per_rel(&sgs[1], r) == 1));
+        assert!(sgs[2].nodes.contains(&EntityId(3)));
+        assert!(sgs[2].edges.iter().all(|e| sgs[2].nodes[e.dst as usize] != EntityId(3)));
+        let into_8 = |r: usize| {
+            let sg = &sgs[3];
+            let dst_8 = sg.nodes.iter().position(|&v| v == EntityId(8)).expect("node 8") as u32;
+            sg.edges.iter().filter(|e| e.dst == dst_8 && e.rel.index() == r).count()
+        };
+        assert_eq!((into_8(0), into_8(1)), (3, 1));
+
+        for num_bases in [None, Some(2)] {
+            let mut rng = ChaCha8Rng::seed_from_u64(23);
+            let mut ps = ParamStore::new();
+            let enc = SubgraphEncoder::new(
+                SubgraphEncoderConfig { num_bases, ..tiny_cfg() },
+                "gsm",
+                &mut ps,
+                &mut rng,
+            );
+            assert_batched_matches_tape(&enc, &ps, &sgs);
+
+            // Signed zeros: W_self zeroed and the bias at -0.0 make every
+            // self term the sum `+0.0 + -0.0`, so message-free rows are
+            // exact zeros, and their sign bits must match the tape's.
+            // (No f32 kernel here yields a `-0.0` self term: matmul sums
+            // start from `+0.0`.)
+            let ids: Vec<_> = ps
+                .iter()
+                .filter(|(_, name, _)| name.ends_with(".w_self") || name.ends_with(".bias"))
+                .map(|(id, name, _)| (id, name.ends_with(".bias")))
+                .collect();
+            for (id, is_bias) in ids {
+                let fill = if is_bias { -0.0 } else { 0.0 };
+                ps.get_mut(id).data_mut().fill(fill);
+            }
+            assert_batched_matches_tape(&enc, &ps, &sgs);
         }
     }
 

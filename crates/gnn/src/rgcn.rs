@@ -20,18 +20,15 @@ use dekg_kg::{BatchedSubgraphs, Subgraph};
 use dekg_tensor::{init, kernels, Graph, ParamId, ParamStore, Tensor, Var};
 use rand::Rng;
 
-/// Groups surviving edge indices by relation, sorted by relation id —
-/// the deterministic order the tape forward iterates in (and the
-/// batched forward reproduces per segment).
-fn group_edges_by_relation(sg: &Subgraph, edge_keep: Option<&[bool]>) -> Vec<(usize, Vec<usize>)> {
-    let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (idx, e) in sg.edges.iter().enumerate() {
-        if edge_keep.map_or(true, |m| m[idx]) {
-            groups.entry(e.rel.index()).or_default().push(idx);
-        }
-    }
-    groups.into_iter().collect()
+/// Surviving edge indices ordered by (relation id, edge id) — the
+/// order every tape aggregation runs in (and the batched forward
+/// reproduces per segment). The sort is stable, so each relation's
+/// edges keep their subgraph order.
+fn edges_by_relation(sg: &Subgraph, edge_keep: Option<&[bool]>) -> Vec<usize> {
+    let mut ids: Vec<usize> =
+        (0..sg.num_edges()).filter(|&i| edge_keep.map_or(true, |m| m[i])).collect();
+    ids.sort_by_key(|&i| sg.edges[i].rel.index());
+    ids
 }
 
 /// Configuration for one layer.
@@ -174,39 +171,48 @@ impl RgcnLayer {
             assert_eq!(mask.len(), sg.num_edges(), "edge mask length mismatch");
         }
 
-        // Group surviving edges by relation for batched per-relation matmuls.
-        let by_rel = group_edges_by_relation(sg, edge_keep);
-
         let self_msg = g.matmul(h, mounted.w_self);
         let bias_b = g.broadcast_row(mounted.bias, n);
-        let mut acc = g.add(self_msg, bias_b);
+        let acc = g.add(self_msg, bias_b);
 
-        if !by_rel.is_empty() {
-            let ones_row = g.constant(Tensor::ones([1, self.cfg.out_dim]));
-
-            for (rel, edge_ids) in &by_rel {
-                let srcs: Vec<usize> = edge_ids.iter().map(|&i| sg.edges[i].src as usize).collect();
-                let dsts: Vec<usize> = edge_ids.iter().map(|&i| sg.edges[i].dst as usize).collect();
-                let n_e = edge_ids.len();
-
-                let w_r = self.relation_weight(g, mounted, *rel);
-                let h_src = g.gather_rows(h, &srcs);
-                let msgs = g.matmul(h_src, w_r); // [E_r, out]
-
-                // Attention: sigmoid([h_s ⊕ h_t ⊕ q_r] · w_att).
-                let h_dst = g.gather_rows(h, &dsts);
-                let q_r = g.gather_rows(mounted.attn_embed, &vec![*rel; n_e]);
-                let att_in = g.concat_cols(&[h_src, h_dst, q_r]);
-                let att_logit = g.matmul(att_in, mounted.w_attn); // [E_r, 1]
-                let att = g.sigmoid(att_logit);
-                let att_wide = g.matmul(att, ones_row); // [E_r, out]
-
-                let weighted = g.mul(msgs, att_wide);
-                let agg = g.scatter_add_rows(weighted, &dsts, n);
-                acc = g.add(acc, agg);
-            }
+        let edge_ids = edges_by_relation(sg, edge_keep);
+        if edge_ids.is_empty() {
+            // No message reaches any node: the self term stands alone,
+            // with no empty gather, scatter or add on the tape.
+            return g.relu(acc);
         }
+        let srcs: Vec<usize> = edge_ids.iter().map(|&i| sg.edges[i].src as usize).collect();
+        let dsts: Vec<usize> = edge_ids.iter().map(|&i| sg.edges[i].dst as usize).collect();
+        let rels: Vec<usize> = edge_ids.iter().map(|&i| sg.edges[i].rel.index()).collect();
 
+        // Messages W_r · h_s: one matmul per relation run, stacked in
+        // (relation, edge) order.
+        let mut blocks = Vec::new();
+        let mut start = 0;
+        while start < rels.len() {
+            let rel = rels[start];
+            let end = start + rels[start..].iter().take_while(|&&r| r == rel).count();
+            let w_r = self.relation_weight(g, mounted, rel);
+            let h_src = g.gather_rows(h, &srcs[start..end]);
+            blocks.push(g.matmul(h_src, w_r));
+            start = end;
+        }
+        let msgs = g.concat_rows(&blocks); // [E, out]
+
+        // Attention for every edge at once: sigmoid([h_s ⊕ h_t ⊕ q_r] · w_att).
+        let h_src = g.gather_rows(h, &srcs);
+        let h_dst = g.gather_rows(h, &dsts);
+        let q = g.gather_rows(mounted.attn_embed, &rels);
+        let att_in = g.concat_cols(&[h_src, h_dst, q]);
+        let att_logit = g.matmul(att_in, mounted.w_attn); // [E, 1]
+        let att = g.sigmoid(att_logit);
+        let ones_row = g.constant(Tensor::ones([1, self.cfg.out_dim]));
+        let att_wide = g.matmul(att, ones_row); // [E, out]
+
+        // AGGREGATE as one sum: a single scatter and a single add.
+        let weighted = g.mul(msgs, att_wide);
+        let agg = g.scatter_add_rows(weighted, &dsts, n);
+        let acc = g.add(acc, agg);
         g.relu(acc)
     }
 
@@ -225,17 +231,22 @@ impl RgcnLayer {
     ///   implemented as `0 + w_row` adds in ascending one-hot column
     ///   order — exactly the FLOPs the zero-skip `matmul` performs on a
     ///   one-hot row (`labels` selects this);
-    /// * relations are visited in global ascending order, and a segment
-    ///   participates only in the relations it contains — for that
-    ///   segment the visit order equals its own ascending
-    ///   `group_edges_by_relation` order;
-    /// * per relation, messages/attention for all segments' edges run
-    ///   as one packed matmul (again row-independent), and the scatter
-    ///   and `acc += agg` accumulation touch **only the participating
-    ///   segments' row ranges**, in each segment's edge order. Skipping
-    ///   foreign segments is not just an optimization: adding an
-    ///   all-zero `agg` row would flip `-0.0` outputs to `+0.0` and
-    ///   break bitwise equality;
+    /// * per relation group, messages and attention logits for all
+    ///   segments' edges run as one packed matmul each. Matmul rows are
+    ///   independent, so each edge's message and logit equal the tape's,
+    ///   which computes the messages per relation and the logits for all
+    ///   of a subgraph's edges in one matmul;
+    /// * `agg` is zeroed once and every group scatters into it, groups in
+    ///   global ascending relation order, edges within a group in
+    ///   (segment, edge id) order. Restricted to one destination row,
+    ///   that is the tape's (relation, edge id) order, so each row of
+    ///   `agg` is the same left-to-right sum `0 + m_1·a_1 + m_2·a_2 + …`
+    ///   as the tape's single `scatter_add_rows`;
+    /// * `agg` is added to the self term once, and only to the rows of
+    ///   segments with at least one edge — exactly where the tape records
+    ///   its add (it records none for an edgeless subgraph). In a segment
+    ///   with edges every row gets the add, zero rows included, as on the
+    ///   tape, so even the sign of a zero follows the tape's op sequence;
     /// * each message is scaled by its attention weight directly, where
     ///   the tape first widens the weight with a ones-matmul — `x * 1.0`
     ///   is exact in f32, so the products are bit-equal.
@@ -295,6 +306,7 @@ impl RgcnLayer {
         }
 
         let att_width = 2 * in_dim + attn_dim;
+        scratch.agg.clear();
         scratch.agg.resize(n * out_dim, 0.0);
         for group in batch.by_rel() {
             let rel = group.rel;
@@ -345,13 +357,6 @@ impl RgcnLayer {
                 *a = 1.0 / (1.0 + (-*a).exp());
             }
 
-            // Zero, scatter, and accumulate only the participating
-            // segments' rows; other segments' agg rows are stale but
-            // never read.
-            for &si in &group.segments {
-                let r = batch.segment(si as usize);
-                scratch.agg[r.start * out_dim..r.end * out_dim].fill(0.0);
-            }
             for (row, &d) in group.dsts.iter().enumerate() {
                 let d = d as usize;
                 let a = scratch.att[row];
@@ -362,8 +367,11 @@ impl RgcnLayer {
                     *x += m * a;
                 }
             }
-            for &si in &group.segments {
-                let r = batch.segment(si as usize);
+        }
+
+        for (i, sg) in batch.graphs().iter().enumerate() {
+            if sg.num_edges() > 0 {
+                let r = batch.segment(i);
                 kernels::add_assign(
                     &mut out[r.start * out_dim..r.end * out_dim],
                     &scratch.agg[r.start * out_dim..r.end * out_dim],
@@ -413,9 +421,9 @@ enum MountedRelWeights {
 
 /// Reusable buffers for [`RgcnLayer::forward_inference_batched`]: every
 /// per-relation intermediate (gathered sources, attention input,
-/// messages, logits, the scatter target, and the composed basis
-/// weight). Buffers grow to the high-water mark and are then reused —
-/// zero allocations in the steady state.
+/// messages, logits and the composed basis weight) plus the layer's
+/// scatter target. Buffers grow to the high-water mark and are then
+/// reused — zero allocations in the steady state.
 #[derive(Debug, Default, Clone)]
 pub struct BatchedLayerScratch {
     h_src: Vec<f32>,
@@ -584,6 +592,77 @@ mod tests {
                     "param {} [{i}]: numeric {numeric} vs analytic {a}",
                     ps.name_of(id)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn shared_relation_gradients_match_central_differences() {
+        // Two subgraphs on one tape, both using relations 0 and 1 through
+        // one mounting: every shared parameter's gradient sums both
+        // subgraphs' fused aggregations (and the sparse GatherRows
+        // backward adds into an already-filled slot). Checked against
+        // central differences for both weight layouts, with an edge mask
+        // on the second subgraph.
+        let first = toy_subgraph();
+        let store = TripleStore::from_triples([
+            Triple::from_raw(0, 1, 1),
+            Triple::from_raw(1, 0, 2),
+            Triple::from_raw(2, 1, 3),
+            Triple::from_raw(0, 0, 3),
+        ]);
+        let adj = Adjacency::from_store(&store, 4);
+        let second = SubgraphExtractor::new(&adj, 2, ExtractionMode::Union).extract(
+            EntityId(0),
+            EntityId(3),
+            None,
+        );
+        let mut mask = vec![true; second.num_edges()];
+        mask[0] = false;
+        for num_bases in [None, Some(2)] {
+            let mut rng = ChaCha8Rng::seed_from_u64(100);
+            let small =
+                RgcnLayerConfig { num_relations: 2, in_dim: 2, out_dim: 2, attn_dim: 2, num_bases };
+            let mut ps = ParamStore::new();
+            let layer = RgcnLayer::new(small, "l", &mut ps, &mut rng);
+            let feats_a = init::normal([first.num_nodes(), 2], 0.0, 1.0, &mut rng);
+            let feats_b = init::normal([second.num_nodes(), 2], 0.0, 1.0, &mut rng);
+
+            let loss_of = |ps: &ParamStore| -> (f32, dekg_tensor::GradStore) {
+                let mut g = Graph::new();
+                let mounted = layer.mount(&mut g, ps);
+                let ha = g.constant(feats_a.clone());
+                let hb = g.constant(feats_b.clone());
+                let out_a = layer.forward_mounted(&mut g, &mounted, &first, ha, None);
+                let out_b = layer.forward_mounted(&mut g, &mounted, &second, hb, Some(&mask));
+                let sq_a = g.square(out_a);
+                let sq_b = g.square(out_b);
+                let la = g.sum_all(sq_a);
+                let lb = g.sum_all(sq_b);
+                let loss = g.add(la, lb);
+                let grads = g.backward(loss);
+                (g.value(loss).item(), grads)
+            };
+            let (_, analytic) = loss_of(&ps);
+
+            let eps = 1e-3f32;
+            let ids: Vec<_> = ps.iter().map(|(id, _, _)| id).collect();
+            for id in ids {
+                for i in 0..ps.get(id).numel() {
+                    let orig = ps.get(id).data()[i];
+                    ps.get_mut(id).data_mut()[i] = orig + eps;
+                    let (fp, _) = loss_of(&ps);
+                    ps.get_mut(id).data_mut()[i] = orig - eps;
+                    let (fm, _) = loss_of(&ps);
+                    ps.get_mut(id).data_mut()[i] = orig;
+                    let numeric = (fp - fm) / (2.0 * eps);
+                    let a = analytic.get(id).map_or(0.0, |g| g.data()[i]);
+                    assert!(
+                        (numeric - a).abs() < 5e-2 * (1.0 + numeric.abs().max(a.abs())),
+                        "{num_bases:?} param {} [{i}]: numeric {numeric} vs analytic {a}",
+                        ps.name_of(id)
+                    );
+                }
             }
         }
     }

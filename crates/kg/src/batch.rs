@@ -8,14 +8,12 @@
 //! re-indexed into that global row space, so no edge ever crosses a
 //! segment boundary.
 //!
-//! Edges are grouped by relation **globally** (ascending relation id,
-//! as [`group_edges_by_relation`] orders them per subgraph), with each
-//! group remembering which segments contribute — the batched layer
-//! touches only those segments' rows per relation, which is what keeps
-//! it bitwise-identical to the per-subgraph path (see
-//! `DESIGN.md` § batched inference).
-//!
-//! [`group_edges_by_relation`]: crate::Subgraph
+//! Edges are grouped by relation **globally** (ascending relation id),
+//! each group listing its edges in (segment, edge id) order. Restricted
+//! to one segment, that is the (relation, edge id) order the tape
+//! aggregates a subgraph's messages in, which is what keeps the batched
+//! layer bitwise-identical to the per-subgraph path (see `DESIGN.md`
+//! § batched inference).
 
 use crate::subgraph::Subgraph;
 use std::collections::BTreeMap;
@@ -30,10 +28,6 @@ pub struct RelEdgeGroup {
     pub srcs: Vec<u32>,
     /// Packed destination row per edge, aligned with `srcs`.
     pub dsts: Vec<u32>,
-    /// Ascending segment indices that contain at least one edge of this
-    /// relation — the only segments whose rows the batched layer
-    /// aggregates into for this relation.
-    pub segments: Vec<u32>,
 }
 
 /// A batch of subgraphs packed into one block-diagonal edge list.
@@ -67,11 +61,7 @@ impl<'a> BatchedSubgraphs<'a> {
                     rel: e.rel.index(),
                     srcs: Vec::new(),
                     dsts: Vec::new(),
-                    segments: Vec::new(),
                 });
-                if g.segments.last() != Some(&(si as u32)) {
-                    g.segments.push(si as u32);
-                }
                 g.srcs.push(off + e.src);
                 g.dsts.push(off + e.dst);
             }
@@ -155,17 +145,19 @@ mod tests {
         assert_eq!(rels, sorted, "relation groups must ascend");
         for g in b.by_rel() {
             assert_eq!(g.srcs.len(), g.dsts.len());
-            assert!(!g.segments.is_empty());
-            assert!(g.segments.windows(2).all(|w| w[0] < w[1]));
-            // Every edge's endpoints must lie inside one listed segment.
-            for (&s, &d) in g.srcs.iter().zip(&g.dsts) {
-                let seg = g
-                    .segments
-                    .iter()
-                    .find(|&&si| b.segment(si as usize).contains(&(s as usize)))
-                    .expect("src row outside every listed segment");
-                assert!(b.segment(*seg as usize).contains(&(d as usize)));
+            assert!(!g.srcs.is_empty());
+            // Every edge stays inside one segment, and edges run in
+            // ascending segment order.
+            let seg_of = |row: u32| {
+                (0..b.num_graphs())
+                    .find(|&si| b.segment(si).contains(&(row as usize)))
+                    .expect("row outside every segment")
+            };
+            let segs: Vec<usize> = g.srcs.iter().map(|&s| seg_of(s)).collect();
+            for (&d, &si) in g.dsts.iter().zip(&segs) {
+                assert_eq!(seg_of(d), si, "edge crosses a segment boundary");
             }
+            assert!(segs.windows(2).all(|w| w[0] <= w[1]));
         }
     }
 

@@ -8,9 +8,9 @@
 //! `dekg request` client all produce; anything fancier (chunked bodies,
 //! keep-alive, upgrades) is rejected with a `400`.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on an accepted request body. Rank requests are small;
 /// anything larger is a client bug or abuse, shed before allocation.
@@ -24,8 +24,10 @@ pub(crate) const MAX_HEAD_LINE_BYTES: usize = 8 << 10;
 /// Upper bound on the number of header lines in one request.
 pub(crate) const MAX_HEADERS: usize = 64;
 
-/// Per-connection socket timeout: a stalled peer must not pin a
-/// connection thread forever.
+/// Per-connection IO budget: the whole request (head and body) must
+/// arrive within it, and each response write gets it as a socket
+/// timeout. A stalled or slow-trickling peer must not pin a connection
+/// thread forever.
 pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One parsed request.
@@ -46,12 +48,18 @@ impl Request {
     }
 }
 
-/// Reads one request from `stream`. Errors are client-facing strings
-/// (they become the `400` body).
+/// Reads one request from `stream` within [`IO_TIMEOUT`]. Errors are
+/// client-facing strings (they become the `400` body).
 pub(crate) fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    read_request_within(stream, IO_TIMEOUT)
+}
+
+/// [`read_request`] with an explicit budget: head and body share one
+/// deadline `budget` from now, so a peer that keeps trickling bytes is
+/// still cut off once it expires.
+fn read_request_within(stream: &mut TcpStream, budget: Duration) -> Result<Request, String> {
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(DeadlineReader { stream, deadline: Instant::now() + budget });
 
     let request_line = read_head_line(&mut reader, "request line")?;
     let mut parts = request_line.split_whitespace();
@@ -88,6 +96,33 @@ pub(crate) fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).map_err(|e| format!("reading body: {e}"))?;
     Ok(Request { method, path, body })
+}
+
+/// A socket reader that enforces one total deadline: before every read
+/// the socket timeout is set to the time left, so a read fails with
+/// `TimedOut` once the deadline passes, however the bytes trickle in.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let expired = || std::io::Error::new(ErrorKind::TimedOut, "request deadline exceeded");
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(expired());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        match stream.read(buf) {
+            // The socket timeout is the time left: hitting it is the deadline.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                Err(expired())
+            }
+            read => read,
+        }
+    }
 }
 
 /// Reads one line of the request head (request line or header), at most
@@ -386,6 +421,37 @@ mod tests {
         handle.join().unwrap();
         assert!(response.starts_with("HTTP/1.1 200 "), "response: {response:?}");
         assert!(response.ends_with("GET /healthz 0"), "response: {response:?}");
+    }
+
+    #[test]
+    fn slow_trickle_is_cut_off_at_the_deadline() {
+        // The peer sends a byte of an endless header every 10 ms: every
+        // single read succeeds well inside any per-read timeout, so only
+        // a total deadline stops it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let budget = Duration::from_millis(300);
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let started = Instant::now();
+            let result = read_request_within(&mut stream, budget);
+            (result.map(|r| r.path), started.elapsed())
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(b"GET /healthz HTTP/1.1\r\nX-Trickle: ").unwrap();
+        let trickle_until = Instant::now() + Duration::from_secs(5);
+        while !server.is_finished() && Instant::now() < trickle_until {
+            if client.write_all(b"v").is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let (result, elapsed) = server.join().unwrap();
+        let message = result.expect_err("a trickled request must not complete");
+        assert!(message.contains("deadline"), "message: {message}");
+        // Slack for timer granularity; the point is "not long before".
+        assert!(elapsed + Duration::from_millis(50) >= budget, "cut off early: {elapsed:?}");
+        assert!(elapsed < Duration::from_secs(3), "not cut off at the deadline: {elapsed:?}");
     }
 
     #[test]

@@ -774,12 +774,17 @@ impl Graph {
                 }
             }
             Op::GatherRows(a, idx) => {
-                let (rows, cols) = self.nodes[a.0].value.shape().as_matrix();
-                let mut da = Tensor::zeros([rows, cols]);
-                for (r, &i) in idx.iter().enumerate() {
-                    kernels::add_assign(da.row_mut(i), grad.row(r));
+                // Sparse: each gathered row's gradient goes straight into
+                // the input's slot. Zeros are allocated only when the slot
+                // is still empty, never a dense copy per call.
+                if self.needs(*a) {
+                    let da = grads[a.0].get_or_insert_with(|| {
+                        Tensor::zeros(self.nodes[a.0].value.shape().clone())
+                    });
+                    for (r, &i) in idx.iter().enumerate() {
+                        kernels::add_assign(da.row_mut(i), grad.row(r));
+                    }
                 }
-                self.accum_owned(grads, *a, da);
             }
             Op::GatherFlat(a, idx) => {
                 let mut da = Tensor::zeros(self.nodes[a.0].value.shape().clone());

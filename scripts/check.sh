@@ -24,6 +24,13 @@ grep -q '"errors": 0' <<< "$lint_json"
 echo "==> cargo test --workspace"
 cargo test -q --workspace --offline
 
+echo "==> repository benchmark self-tests (dekgbench)"
+# The benchmark is its own workspace, so the test above does not reach
+# it. Its self-tests include the bitwise fit == public-call replay check,
+# so a tape or optimizer change that breaks the benchmark's output
+# checks fails here, before merge.
+cargo test -q --release --offline --manifest-path dekgbench/Cargo.toml
+
 echo "==> determinism under a shuffled schedule (DEKG_SHUFFLE_SCHEDULE=1)"
 # Re-runs the bitwise-determinism contract with the rayon shim handing
 # out random uneven chunks in random spawn order: results must be
