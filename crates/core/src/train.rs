@@ -555,6 +555,10 @@ pub fn record_prepared(
 /// analyze: a small fresh model on `dataset` and the first 8 original
 /// triples, recorded with [`batch_loss_parts`]. Sharing it means
 /// `--grads` and `--tape` see the identical tape for a given seed.
+/// The model uses basis-decomposed relation weights, the layout
+/// [`DekgIlpConfig::paper`](crate::config::DekgIlpConfig::paper) trains
+/// with, so the basis composition and the block-row message matmul are
+/// checked on real data.
 fn check_batch_tape(dataset: &DekgDataset, seed: u64) -> (DekgIlp, Graph, BatchLossBreakdown) {
     use rand::SeedableRng;
     let cfg = crate::config::DekgIlpConfig {
@@ -562,6 +566,7 @@ fn check_batch_tape(dataset: &DekgDataset, seed: u64) -> (DekgIlp, Graph, BatchL
         num_contrastive: 2,
         gnn_layers: 2,
         attn_dim: 4,
+        num_bases: Some(2),
         ..crate::config::DekgIlpConfig::quick()
     };
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);

@@ -15,6 +15,14 @@
 //! (Schlichtkrull et al., 2018): `W_r = Σ_b a_{rb} V_b` — the
 //! `num_bases` knob in [`RgcnLayerConfig`], exercised by the ablation
 //! benches.
+//!
+//! On the autograd tape one layer over one subgraph records a fixed
+//! number of ops whatever the relation count: one gather of the source
+//! embeddings shared by messages and attention, one block-row
+//! [`Graph::rel_matmul`] computing every edge's `W_r · h_s` against a
+//! stack of relation weights (with bases, one `[U, B] · [B, in·out]`
+//! matmul first composes the U relations the subgraph uses), one
+//! attention matmul, and one scatter and one add for the aggregate.
 
 use dekg_kg::{BatchedSubgraphs, Subgraph};
 use dekg_tensor::{init, kernels, Graph, ParamId, ParamStore, Tensor, Var};
@@ -185,22 +193,29 @@ impl RgcnLayer {
         let dsts: Vec<usize> = edge_ids.iter().map(|&i| sg.edges[i].dst as usize).collect();
         let rels: Vec<usize> = edge_ids.iter().map(|&i| sg.edges[i].rel.index()).collect();
 
-        // Messages W_r · h_s: one matmul per relation run, stacked in
-        // (relation, edge) order.
-        let mut blocks = Vec::new();
-        let mut start = 0;
-        while start < rels.len() {
-            let rel = rels[start];
-            let end = start + rels[start..].iter().take_while(|&&r| r == rel).count();
-            let w_r = self.relation_weight(g, mounted, rel);
-            let h_src = g.gather_rows(h, &srcs[start..end]);
-            blocks.push(g.matmul(h_src, w_r));
-            start = end;
-        }
-        let msgs = g.concat_rows(&blocks); // [E, out]
+        // Messages W_r · h_s for every edge in one block-row matmul over
+        // a stack of `[in, out]` relation weights. With full weights the
+        // stack is the parameter itself and an edge's block is its
+        // relation id. With bases, only the U relations this subgraph
+        // uses are composed, in one `[U, B] · [B, in·out]` matmul whose
+        // row u is `W_{used[u]}` flattened, and an edge's block is its
+        // relation's position in `used`.
+        let h_src = g.gather_rows(h, &srcs);
+        let msgs = match mounted.rel_weights {
+            MountedRelWeights::Full(all) => g.rel_matmul(h_src, all, &rels),
+            MountedRelWeights::Bases { coeffs, bases } => {
+                let mut used = rels.clone();
+                used.dedup(); // rels is sorted: one entry per relation
+                let blocks: Vec<usize> =
+                    rels.iter().map(|r| used.partition_point(|u| u < r)).collect();
+                let c = g.gather_rows(coeffs, &used); // [U, B]
+                let flat = g.matmul(c, bases); // [U, in*out]
+                let stack = g.reshape(flat, [used.len() * self.cfg.in_dim, self.cfg.out_dim]);
+                g.rel_matmul(h_src, stack, &blocks)
+            }
+        }; // [E, out]
 
         // Attention for every edge at once: sigmoid([h_s ⊕ h_t ⊕ q_r] · w_att).
-        let h_src = g.gather_rows(h, &srcs);
         let h_dst = g.gather_rows(h, &dsts);
         let q = g.gather_rows(mounted.attn_embed, &rels);
         let att_in = g.concat_cols(&[h_src, h_dst, q]);
@@ -233,9 +248,14 @@ impl RgcnLayer {
     ///   one-hot row (`labels` selects this);
     /// * per relation group, messages and attention logits for all
     ///   segments' edges run as one packed matmul each. Matmul rows are
-    ///   independent, so each edge's message and logit equal the tape's,
-    ///   which computes the messages per relation and the logits for all
-    ///   of a subgraph's edges in one matmul;
+    ///   independent, so each edge's message and logit equal the tape's.
+    ///   The tape's `rel_matmul` runs one matmul per run of equal
+    ///   relations against that relation's `[in, out]` block, and one
+    ///   matmul computes the logits for all of a subgraph's edges;
+    /// * with bases, `W_r` here is the `[1, B] · [B, in·out]` product of
+    ///   row `r` of the coefficients. The tape composes all used
+    ///   relations in one `[U, B]` matmul, whose row for `r` is computed
+    ///   by exactly the same loop, so each block has the same bits;
     /// * `agg` is zeroed once and every group scatters into it, groups in
     ///   global ascending relation order, edges within a group in
     ///   (segment, edge id) order. Restricted to one destination row,
@@ -312,8 +332,8 @@ impl RgcnLayer {
             let rel = group.rel;
             let n_e = group.srcs.len();
             let w_r: &[f32] = match &self.rel_weights {
-                // The tape gathers rows rel*in..(rel+1)*in of the full
-                // stack — contiguous, so the slice is value-identical.
+                // The tape's rel_matmul reads block `rel` of the full
+                // stack: rows rel*in..(rel+1)*in, this very slice.
                 RelWeights::Full(all) => {
                     let stacked = params.get(*all).data();
                     &stacked[rel * in_dim * out_dim..(rel + 1) * in_dim * out_dim]
@@ -381,23 +401,6 @@ impl RgcnLayer {
 
         for x in out.iter_mut() {
             *x = x.max(0.0);
-        }
-    }
-
-    /// Fetches (or composes, for bases) the `[in, out]` weight of `rel`
-    /// from mounted handles.
-    fn relation_weight(&self, g: &mut Graph, mounted: &MountedRgcnLayer, rel: usize) -> Var {
-        match &mounted.rel_weights {
-            MountedRelWeights::Full(all) => {
-                let rows: Vec<usize> =
-                    (rel * self.cfg.in_dim..(rel + 1) * self.cfg.in_dim).collect();
-                g.gather_rows(*all, &rows)
-            }
-            MountedRelWeights::Bases { coeffs, bases } => {
-                let c_r = g.gather_rows(*coeffs, &[rel]); // [1, B]
-                let flat = g.matmul(c_r, *bases); // [1, in*out]
-                g.reshape(flat, [self.cfg.in_dim, self.cfg.out_dim])
-            }
         }
     }
 }
@@ -546,7 +549,7 @@ mod tests {
     #[test]
     fn layer_gradients_match_central_differences() {
         // Numerical gradient check through the full layer (attention,
-        // per-relation matmuls, scatter aggregation, relu) for every
+        // block-row message matmul, scatter aggregation, relu) for every
         // parameter scalar of a tiny configuration.
         let sg = toy_subgraph();
         let mut rng = ChaCha8Rng::seed_from_u64(99);

@@ -1,7 +1,9 @@
-//! The R-GCN layer aggregates all relations at once: per layer and per
-//! subgraph the tape records one `ScatterAddRows` and one aggregate
-//! `Add` however many relations the subgraph holds, and none for a
-//! subgraph without edges.
+//! The R-GCN layer handles all relations at once: per layer and per
+//! subgraph the tape records one `RelMatmul` for the messages, one
+//! `ScatterAddRows` and one aggregate `Add` however many relations the
+//! subgraph holds, and none of them for a subgraph without edges. No
+//! `ConcatRows` joins per-relation message blocks, and the forward
+//! `Matmul` count does not grow with the relation count.
 //!
 //! The kernel profiler's tables are process-global, so this binary
 //! holds a single test.
@@ -63,8 +65,17 @@ fn one_scatter_and_one_aggregate_add_per_layer_per_subgraph() {
         let calls = |op: &str| snap.ops.iter().find(|o| o.op == op).map_or(0, |o| o.forward_calls);
         let layers = layers as u64;
         let subgraphs = sgs.len() as u64;
+        assert_eq!(calls("RelMatmul"), layers * with_edges, "{num_bases:?}");
         assert_eq!(calls("ScatterAddRows"), layers * with_edges, "{num_bases:?}");
-        assert_eq!(calls("ConcatRows"), layers * with_edges, "{num_bases:?}");
+        assert_eq!(calls("ConcatRows"), 0, "{num_bases:?}");
+        // Self term for every subgraph; attention logit and its widening
+        // where edges are, plus one basis composition with bases.
+        let per_edge_subgraph = if num_bases.is_some() { 3 } else { 2 };
+        assert_eq!(
+            calls("Matmul"),
+            layers * (subgraphs + per_edge_subgraph * with_edges),
+            "{num_bases:?}"
+        );
         // Self term + bias for every subgraph, + aggregate where edges are.
         assert_eq!(calls("Add"), layers * (subgraphs + with_edges), "{num_bases:?}");
         assert_eq!(calls("Sigmoid"), layers * with_edges, "{num_bases:?}");

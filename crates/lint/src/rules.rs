@@ -63,7 +63,7 @@ pub const UNWRAP_BUDGETS: &[(&str, usize)] = &[
     // ratchet only moves down — going over any number here is an
     // error, and dropping real sites should drop the budget with them.
     // Crates absent from this table have a budget of zero.
-    ("tensor", 22),
+    ("tensor", 2),
     ("core", 1),
     ("datasets", 3),
     ("eval", 2),

@@ -220,6 +220,7 @@ pub const ALL_OPS: &[&str] = &[
     "StackScalars",
     "ScatterAddRows",
     "BroadcastRow",
+    "RelMatmul",
 ];
 
 /// Position of `op`'s mnemonic in [`ALL_OPS`].
@@ -263,6 +264,7 @@ pub(crate) fn op_ordinal(op: &Op) -> usize {
         Op::StackScalars(..) => 31,
         Op::ScatterAddRows { .. } => 32,
         Op::BroadcastRow(..) => 33,
+        Op::RelMatmul { .. } => 34,
     }
 }
 
@@ -276,7 +278,12 @@ pub(crate) fn op_mnemonic(op: &Op) -> &'static str {
 pub(crate) fn for_each_input(op: &Op, mut f: impl FnMut(Var)) {
     match op {
         Op::Leaf(_) => {}
-        Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) | Op::Matmul(a, b) => {
+        Op::Add(a, b)
+        | Op::Sub(a, b)
+        | Op::Mul(a, b)
+        | Op::Div(a, b)
+        | Op::Matmul(a, b)
+        | Op::RelMatmul { x: a, w: b, .. } => {
             f(*a);
             f(*b);
         }
@@ -385,6 +392,33 @@ pub(crate) fn infer_shape_with<'s>(
                 ));
             }
             Ok(Shape::new(vec![m, n]))
+        }
+        Op::RelMatmul { x, w, blocks } => {
+            let (e, k) = as_matrix("rel_matmul", sh(*x))?;
+            let (w_rows, n) = as_matrix("rel_matmul", sh(*w))?;
+            if blocks.len() != e {
+                return Err(ShapeError::new(
+                    "rel_matmul",
+                    ShapeErrorKind::Arity,
+                    format!("block count {} does not match {e} rows", blocks.len()),
+                ));
+            }
+            if k == 0 || w_rows % k != 0 {
+                return Err(ShapeError::new(
+                    "rel_matmul",
+                    ShapeErrorKind::Mismatch,
+                    format!("weight rows {w_rows} do not split into blocks of {k} rows"),
+                ));
+            }
+            let num_blocks = w_rows / k;
+            if let Some(&b) = blocks.iter().find(|&&b| b >= num_blocks) {
+                return Err(ShapeError::new(
+                    "rel_matmul",
+                    ShapeErrorKind::OutOfBounds,
+                    format!("block {b} out of bounds for {num_blocks} blocks of {k} rows"),
+                ));
+            }
+            Ok(Shape::new(vec![e, n]))
         }
         Op::GatherRows(a, idx) => {
             let (rows, cols) = as_matrix("gather_rows", sh(*a))?;

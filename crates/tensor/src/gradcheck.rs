@@ -22,8 +22,8 @@
 //! Every case runs through [`Graph::diff_check`], whose structural
 //! pre-check is tapecheck's shape pass, so this registry is also the
 //! op-coverage audit of the shape rules in `infer_shape_with`. Ops
-//! whose rule could confuse two dims (`Matmul`, the axis reductions,
-//! `BroadcastRow`, `ScatterAddRows`) check a pinned shape with distinct
+//! whose rule could confuse two dims (`Matmul`, `RelMatmul`, the axis
+//! reductions, `BroadcastRow`, `ScatterAddRows`) check a pinned shape with distinct
 //! dims besides the random draw, so a swapped axis cannot hide behind a
 //! square sample.
 
@@ -164,6 +164,12 @@ fn away_from_zero(rng: &mut ChaCha8Rng, n: usize, min_mag: f32, max_mag: f32) ->
         .collect()
 }
 
+/// Mounts the [`check_fn`] input named `name` as a parameter leaf.
+fn mount(g: &mut Graph, ps: &ParamStore, name: &str) -> Var {
+    let id = ps.id_of(name).expect("check_fn registers every named input");
+    g.param(ps, id)
+}
+
 /// Reduces `y` to a scalar through a random positive weighting, so
 /// every output position contributes a *distinct* gradient — a routing
 /// bug in a movement op cannot cancel out.
@@ -186,7 +192,7 @@ fn unary_check(
     check_fn(
         &[("x", vec![n], data)],
         &|g, ps| {
-            let x = g.param(ps, ps.id_of("x").unwrap());
+            let x = mount(g, ps, "x");
             let y = op(&mut *g, x);
             let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
             weighted(g, y, &mut wrng)
@@ -207,8 +213,8 @@ fn binary_check(
     check_fn(
         &[("a", shape.clone(), a), ("b", shape, b)],
         &|g, ps| {
-            let a = g.param(ps, ps.id_of("a").unwrap());
-            let b = g.param(ps, ps.id_of("b").unwrap());
+            let a = mount(g, ps, "a");
+            let b = mount(g, ps, "b");
             let y = op(&mut *g, a, b);
             let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
             weighted(g, y, &mut wrng)
@@ -231,7 +237,7 @@ fn matrix_check(rng: &mut ChaCha8Rng, op: impl Fn(&mut Graph, Var) -> Var) -> Re
         check_fn(
             &[("x", vec![m, n], data)],
             &|g, ps| {
-                let x = g.param(ps, ps.id_of("x").unwrap());
+                let x = mount(g, ps, "x");
                 let y = op(&mut *g, x);
                 let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
                 weighted(g, y, &mut wrng)
@@ -263,7 +269,7 @@ fn registry_impl() -> Vec<OpCheck> {
                     &{
                         let cdata = cdata.clone();
                         move |g: &mut Graph, ps: &ParamStore| {
-                            let x = g.param(ps, ps.id_of("x").unwrap());
+                            let x = mount(g, ps, "x");
                             let c = g.constant(Tensor::from_vec(vec![4], cdata.clone()));
                             let y = g.mul(x, c);
                             let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
@@ -337,10 +343,12 @@ fn registry_impl() -> Vec<OpCheck> {
             op: "Matmul",
             run: |rng| {
                 // `[2, 3]·[3, 4]` keeps all three dims distinct, so a
-                // shape rule confusing any two of them fails; then a
-                // random draw.
+                // shape rule confusing any two of them fails.
+                // `[2, 9]·[9, 11]` runs the eight-lane body and tail of
+                // `dA = dC·Bᵀ`'s dot products (length `n`) and a long
+                // `dB` reduction. Then a random draw.
                 let (m, k) = rand_matrix_shape(rng);
-                for (m, k, n) in [(2, 3, 4), (m, k, rng.gen_range(1..4))] {
+                for (m, k, n) in [(2, 3, 4), (2, 9, 11), (m, k, rng.gen_range(1..4))] {
                     let mut a = uniform(rng, m * k, -1.0, 1.0);
                     // Exercise the kernel's 0.0-skip path.
                     a[0] = 0.0;
@@ -349,9 +357,42 @@ fn registry_impl() -> Vec<OpCheck> {
                     check_fn(
                         &[("a", vec![m, k], a), ("b", vec![k, n], b)],
                         &|g, ps| {
-                            let a = g.param(ps, ps.id_of("a").unwrap());
-                            let b = g.param(ps, ps.id_of("b").unwrap());
+                            let a = mount(g, ps, "a");
+                            let b = mount(g, ps, "b");
                             let y = g.matmul(a, b);
+                            let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
+                            weighted(g, y, &mut wrng)
+                        },
+                        &FdConfig::default(),
+                    )?;
+                }
+                Ok(())
+            },
+        },
+        OpCheck {
+            op: "RelMatmul",
+            run: |rng| {
+                // Pinned `x [6, 9]` against four `[9, 10]` blocks: `k ≠ n`
+                // and both past one lane width. The blocks are unsorted,
+                // blocks 0 and 2 each appear in two separate runs, and
+                // block 1 is never used, so its gradient must be zero.
+                // Then a random draw of small shapes and blocks.
+                let (k, n) = rand_matrix_shape(rng);
+                let drawn: Vec<usize> = (0..4).map(|_| rng.gen_range(0..3)).collect();
+                for (k, n, num_blocks, blocks) in
+                    [(9, 10, 4, vec![2, 2, 0, 3, 2, 0]), (k, n, 3, drawn)]
+                {
+                    let mut x = uniform(rng, blocks.len() * k, -1.0, 1.0);
+                    // Exercise the kernel's 0.0-skip path.
+                    x[0] = 0.0;
+                    let w = uniform(rng, num_blocks * k * n, -1.0, 1.0);
+                    let wseed = rng.gen::<u64>();
+                    check_fn(
+                        &[("x", vec![blocks.len(), k], x), ("w", vec![num_blocks * k, n], w)],
+                        &|g, ps| {
+                            let x = mount(g, ps, "x");
+                            let w = mount(g, ps, "w");
+                            let y = g.rel_matmul(x, w, &blocks);
                             let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
                             weighted(g, y, &mut wrng)
                         },
@@ -372,7 +413,7 @@ fn registry_impl() -> Vec<OpCheck> {
                 check_fn(
                     &[("x", vec![4, cols], data)],
                     &move |g, ps| {
-                        let x = g.param(ps, ps.id_of("x").unwrap());
+                        let x = mount(g, ps, "x");
                         let y = g.gather_rows(x, &idx);
                         let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
                         weighted(g, y, &mut wrng)
@@ -393,7 +434,7 @@ fn registry_impl() -> Vec<OpCheck> {
                 check_fn(
                     &[("x", vec![2, 3], data)],
                     &move |g, ps| {
-                        let x = g.param(ps, ps.id_of("x").unwrap());
+                        let x = mount(g, ps, "x");
                         let y = g.gather_flat(x, &idx, [3, 2]);
                         let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
                         weighted(g, y, &mut wrng)
@@ -410,7 +451,7 @@ fn registry_impl() -> Vec<OpCheck> {
                 check_fn(
                     &[("x", vec![2, 3], data)],
                     &|g, ps| {
-                        let x = g.param(ps, ps.id_of("x").unwrap());
+                        let x = mount(g, ps, "x");
                         let y = g.reshape(x, [3, 2]);
                         let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
                         weighted(g, y, &mut wrng)
@@ -432,8 +473,8 @@ fn registry_impl() -> Vec<OpCheck> {
                     check_fn(
                         &[("a", sa, a), ("b", sb, b)],
                         &|g, ps| {
-                            let a = g.param(ps, ps.id_of("a").unwrap());
-                            let b = g.param(ps, ps.id_of("b").unwrap());
+                            let a = mount(g, ps, "a");
+                            let b = mount(g, ps, "b");
                             let y = g.concat_rows(&[a, b]);
                             let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
                             weighted(g, y, &mut wrng)
@@ -454,8 +495,8 @@ fn registry_impl() -> Vec<OpCheck> {
                 check_fn(
                     &[("a", vec![rows, 1], a), ("b", vec![rows, 2], b)],
                     &|g, ps| {
-                        let a = g.param(ps, ps.id_of("a").unwrap());
-                        let b = g.param(ps, ps.id_of("b").unwrap());
+                        let a = mount(g, ps, "a");
+                        let b = mount(g, ps, "b");
                         let y = g.concat_cols(&[a, b]);
                         let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
                         weighted(g, y, &mut wrng)
@@ -472,7 +513,7 @@ fn registry_impl() -> Vec<OpCheck> {
                 check_fn(
                     &[("x", vec![2, 3], data)],
                     &move |g, ps| {
-                        let x = g.param(ps, ps.id_of("x").unwrap());
+                        let x = mount(g, ps, "x");
                         let c = g.constant(Tensor::from_vec(vec![2, 3], cdata.clone()));
                         let y = g.mul(x, c);
                         g.sum_all(y)
@@ -489,7 +530,7 @@ fn registry_impl() -> Vec<OpCheck> {
                 check_fn(
                     &[("x", vec![2, 3], data)],
                     &move |g, ps| {
-                        let x = g.param(ps, ps.id_of("x").unwrap());
+                        let x = mount(g, ps, "x");
                         let c = g.constant(Tensor::from_vec(vec![2, 3], cdata.clone()));
                         let y = g.mul(x, c);
                         g.mean_all(y)
@@ -582,7 +623,7 @@ fn registry_impl() -> Vec<OpCheck> {
                     // The mask must be identical across perturbed
                     // evaluations, so the closure reseeds its own RNG.
                     &move |g, ps| {
-                        let x = g.param(ps, ps.id_of("x").unwrap());
+                        let x = mount(g, ps, "x");
                         let mut mrng = ChaCha8Rng::seed_from_u64(mask_seed);
                         let y = g.dropout(x, 0.35, &mut mrng);
                         let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
@@ -601,8 +642,8 @@ fn registry_impl() -> Vec<OpCheck> {
                 check_fn(
                     &[("a", vec![2], a), ("b", vec![3], b)],
                     &|g, ps| {
-                        let a = g.param(ps, ps.id_of("a").unwrap());
-                        let b = g.param(ps, ps.id_of("b").unwrap());
+                        let a = mount(g, ps, "a");
+                        let b = mount(g, ps, "b");
                         let s1 = g.sum_all(a);
                         let s2 = g.mean_all(b);
                         let y = g.stack_scalars(&[s1, s2]);
@@ -626,7 +667,7 @@ fn registry_impl() -> Vec<OpCheck> {
                     check_fn(
                         &[("x", vec![4, cols], data)],
                         &move |g, ps| {
-                            let x = g.param(ps, ps.id_of("x").unwrap());
+                            let x = mount(g, ps, "x");
                             let y = g.scatter_add_rows(x, &idx, 3);
                             let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
                             weighted(g, y, &mut wrng)
@@ -648,7 +689,7 @@ fn registry_impl() -> Vec<OpCheck> {
                     check_fn(
                         &[("x", vec![d], data)],
                         &move |g, ps| {
-                            let x = g.param(ps, ps.id_of("x").unwrap());
+                            let x = mount(g, ps, "x");
                             let y = g.broadcast_row(x, rows);
                             let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
                             weighted(g, y, &mut wrng)

@@ -20,8 +20,8 @@
 //! performs at most one rounding per element (data movement,
 //! elementwise arithmetic) must match the rounded `f64` reference
 //! within [`DiffBudget::ulp_exact`] ULP; `libm`-backed transcendentals
-//! get [`DiffBudget::ulp_libm`] ULP; accumulation ops (matmul,
-//! reductions, scatter-add) are compared against a per-element
+//! get [`DiffBudget::ulp_libm`] ULP; accumulation ops (matmul, block-row
+//! matmul, reductions, scatter-add) are compared against a per-element
 //! rounding-error bound `slack · ε₃₂ · (terms + 2) · Σ|term|` that
 //! scales with the reduction length. Parameter gradients use a
 //! relative tolerance scaled by the gradient's infinity norm.
@@ -96,6 +96,7 @@ fn budget_class(op: &Op) -> BudgetClass {
             BudgetClass::Libm
         }
         Op::Matmul(..)
+        | Op::RelMatmul { .. }
         | Op::SumAll(_)
         | Op::MeanAll(_)
         | Op::SumAxis0(_)
@@ -333,6 +334,32 @@ impl Graph {
                         }
                         data[i * n + j] = acc;
                         bound[i * n + j] = mag;
+                    }
+                }
+                RefValue { data, accum: Some((bound, k)) }
+            }
+            Op::RelMatmul { x, w, blocks } => {
+                let (e, k) = mat(*x);
+                let (_, n) = mat(*w);
+                let (xv, wv) = (val(*x), val(*w));
+                let mut data = vec![0.0; e * n];
+                let mut bound = vec![0.0; e * n];
+                for (r, &blk) in blocks.iter().enumerate() {
+                    for j in 0..n {
+                        let mut acc = 0.0;
+                        let mut mag = 0.0;
+                        for p in 0..k {
+                            let a = xv[r * k + p];
+                            // Same zero-skip contract as Matmul.
+                            if a == 0.0 {
+                                continue;
+                            }
+                            let term = a * wv[(blk * k + p) * n + j];
+                            acc += term;
+                            mag += term.abs();
+                        }
+                        data[r * n + j] = acc;
+                        bound[r * n + j] = mag;
                     }
                 }
                 RefValue { data, accum: Some((bound, k)) }
@@ -580,6 +607,34 @@ impl Graph {
                     }
                 }
                 accum(grads, *b, db);
+            }
+            Op::RelMatmul { x, w, blocks } => {
+                let (e, k) = mat(*x);
+                let (w_rows, n) = mat(*w);
+                let (xv, wv) = (val(*x), val(*w));
+                // Row r sees block b = blocks[r]: dX[r] = dC[r] · W_bᵀ,
+                // dW_b += X[r]ᵀ · dC[r] (skipping 0.0 entries of X).
+                let mut dx = vec![0.0; e * k];
+                let mut dw = vec![0.0; w_rows * n];
+                for (r, &blk) in blocks.iter().enumerate() {
+                    for p in 0..k {
+                        let row = blk * k + p;
+                        let mut acc = 0.0;
+                        for j in 0..n {
+                            acc += grad[r * n + j] * wv[row * n + j];
+                        }
+                        dx[r * k + p] = acc;
+                        let a = xv[r * k + p];
+                        if a == 0.0 {
+                            continue;
+                        }
+                        for j in 0..n {
+                            dw[row * n + j] += a * grad[r * n + j];
+                        }
+                    }
+                }
+                accum(grads, *x, dx);
+                accum(grads, *w, dw);
             }
             Op::GatherRows(a, idx) => {
                 let (rows, cols) = mat(*a);

@@ -123,23 +123,47 @@ pub fn matmul_at_b_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, 
     }
 }
 
+/// Number of independent partial sums in [`matmul_a_bt_acc`]'s dot
+/// products.
+const LANES: usize = 8;
+
 /// `c[m,n] += a[m,k] * b^T[k,n]` where `b` is stored as `[n, k]`.
 ///
-/// Used by matmul backward for the right operand. Unlike the other
-/// matmul kernels this one performs a plain dot product per output
-/// element with **no** zero skipping — its access pattern gains nothing
-/// from sparsity — so non-finite values propagate unconditionally here.
+/// Used by matmul backward for the left operand's gradient (`dA = dC ·
+/// Bᵀ`). Each output element is one dot product `s = Σ_p a[i,p] ·
+/// b[j,p]`, reduced in a fixed order:
+///
+/// 1. eight lanes, lane `l` summing the terms `p ≡ l (mod 8)` of the
+///    leading `8·⌊k/8⌋` terms in ascending `p`;
+/// 2. the lanes combined by the fixed tree
+///    `((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))`;
+/// 3. the `k mod 8` tail terms added to that sum left to right;
+/// 4. `c[i,j] += s`.
+///
+/// The order depends only on `k`, never on threads or data, so results
+/// are bit-reproducible. Unlike the other matmul kernels this one does
+/// **no** zero skipping — its access pattern gains nothing from
+/// sparsity — so non-finite values propagate unconditionally here.
 pub fn matmul_a_bt_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k, "matmul_a_bt_acc: lhs is not [{m}, {k}]");
     debug_assert_eq!(b.len(), n * k, "matmul_a_bt_acc: rhs is not [{n}, {k}]");
     debug_assert_eq!(c.len(), m * n, "matmul_a_bt_acc: output is not [{m}, {n}]");
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (j, c_v) in c_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&x, &y) in a_row.iter().zip(b_row) {
+    if k == 0 || n == 0 {
+        return; // empty sums leave c unchanged; an empty c has nothing to add to
+    }
+    let body = k - k % LANES;
+    for (a_row, c_row) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        for (b_row, c_v) in b.chunks_exact(k).zip(c_row.iter_mut()) {
+            let mut lanes = [0.0f32; LANES];
+            for (xa, xb) in a_row[..body].chunks_exact(LANES).zip(b_row[..body].chunks_exact(LANES))
+            {
+                for ((s, &x), &y) in lanes.iter_mut().zip(xa).zip(xb) {
+                    *s += x * y;
+                }
+            }
+            let mut acc = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
+                + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+            for (&x, &y) in a_row[body..].iter().zip(&b_row[body..]) {
                 acc += x * y;
             }
             *c_v += acc;
@@ -217,6 +241,74 @@ mod tests {
         let mut got = [0.0; 4];
         matmul_a_bt_acc(&a, &b, &mut got, 2, 2, 2);
         assert_eq!(got, want);
+    }
+
+    /// Deterministic pseudo-random values in `[-1, 1)`.
+    fn wave(n: usize, phase: f32) -> Vec<f32> {
+        (0..n).map(|i| (i as f32 * 0.618 + phase).sin()).collect()
+    }
+
+    /// The lane-reduced dot products agree with an `f64` product against
+    /// the explicit transpose, within the interpreter's accumulation
+    /// budget `8 · ε₃₂ · (k + 2) · Σ|term|`, for inner lengths below,
+    /// at, and past one lane width, with a tail, and at the basis
+    /// composition's length.
+    #[test]
+    fn a_bt_lanes_agree_with_the_transpose_product() {
+        let (m, n) = (3, 2);
+        for k in [1, 7, 8, 9, 33, 1024] {
+            let a = wave(m * k, 0.3);
+            let b = wave(n * k, 1.7);
+            let mut bt = vec![0.0; n * k];
+            transpose(&b, &mut bt, n, k);
+            let c0 = wave(m * n, 2.9);
+            let mut got = c0.clone();
+            matmul_a_bt_acc(&a, &b, &mut got, m, k, n);
+            for i in 0..m {
+                for j in 0..n {
+                    let c = f64::from(c0[i * n + j]);
+                    let (mut want, mut mag) = (c, c.abs());
+                    for p in 0..k {
+                        let term = f64::from(a[i * k + p]) * f64::from(bt[p * n + j]);
+                        want += term;
+                        mag += term.abs();
+                    }
+                    let tol = 8.0 * f64::from(f32::EPSILON) * (k as f64 + 2.0) * mag;
+                    let g = f64::from(got[i * n + j]);
+                    assert!((g - want).abs() <= tol, "k {k} [{i},{j}]: {g} vs {want}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_bt_lanes_are_bit_reproducible() {
+        let (m, k, n) = (2, 1024 + 5, 3);
+        let a = wave(m * k, 0.1);
+        let b = wave(n * k, 0.2);
+        let run = || {
+            let mut c = vec![0.5; m * n];
+            matmul_a_bt_acc(&a, &b, &mut c, m, k, n);
+            c.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let first = run();
+        for _ in 0..3 {
+            assert_eq!(run(), first);
+        }
+    }
+
+    /// No zero skip: an `Inf` in `b` meets a `0.0` of `a` and still
+    /// poisons the result, in the lane body and in the tail.
+    #[test]
+    fn a_bt_lanes_propagate_non_finite() {
+        for (k, at) in [(16, 3), (19, 17)] {
+            let a = vec![0.0; k];
+            let mut b = vec![1.0; k];
+            b[at] = f32::INFINITY;
+            let mut c = [0.0];
+            matmul_a_bt_acc(&a, &b, &mut c, 1, k, 1);
+            assert!(!c[0].is_finite(), "k {k}, Inf at {at}: got {}", c[0]);
+        }
     }
 
     #[test]

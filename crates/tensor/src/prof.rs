@@ -125,11 +125,29 @@ impl ProfTimer {
 /// op pays when profiling is off).
 #[inline]
 pub(crate) fn start() -> ProfTimer {
-    if ENABLED.load(Ordering::Relaxed) {
+    if ENABLED.load(Ordering::Relaxed) && thread_records() {
         ProfTimer(Some(Instant::now()))
     } else {
         ProfTimer(None)
     }
+}
+
+// This crate's unit tests share one process and the global tables, so
+// in its test build only threads that opt in record: tests running
+// concurrently cannot leak rows into a profiler test's exact counts.
+#[cfg(test)]
+thread_local! {
+    static THREAD_RECORDS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether ops recorded on the current thread may feed the tables:
+/// always, except in this crate's unit tests (see `THREAD_RECORDS`).
+#[inline]
+fn thread_records() -> bool {
+    #[cfg(test)]
+    return THREAD_RECORDS.with(std::cell::Cell::get);
+    #[cfg(not(test))]
+    true
 }
 
 /// Folds one forward execution of op `ordinal` into the table.
@@ -262,9 +280,10 @@ mod tests {
     use crate::Graph;
 
     /// The profiler tables are global; serialize the tests that assert
-    /// on their contents.
+    /// on their contents, and let only the calling thread record.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
+        THREAD_RECORDS.with(|r| r.set(true));
         LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 

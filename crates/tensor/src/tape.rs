@@ -52,6 +52,13 @@ pub(crate) enum Op {
     AddScalar(Var, f32),
     MulScalar(Var, f32),
     Matmul(Var, Var),
+    /// Block-row matmul: row `e` of `x [E, k]` times the `k`-row block
+    /// `blocks[e]` of `w [B·k, n]`, giving `[E, n]`.
+    RelMatmul {
+        x: Var,
+        w: Var,
+        blocks: Vec<usize>,
+    },
     /// Select rows `idx` of a rank-2 input.
     GatherRows(Var, Vec<usize>),
     /// Select arbitrary flat offsets (or [`PAD`]) into a new shape.
@@ -305,6 +312,45 @@ impl Graph {
         let v = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
         let ng = self.needs(a) || self.needs(b);
         self.push_prof(op, v, ng, t)
+    }
+
+    /// Block-row matrix product: row `e` of `x [E, k]` is multiplied by
+    /// rows `blocks[e]·k .. (blocks[e] + 1)·k` of `w [B·k, n]`, giving
+    /// `[E, n]`. This is the R-GCN message primitive: one op applies
+    /// every relation's weight to its edges, `w` stacking the `[k, n]`
+    /// relation weights.
+    ///
+    /// Each maximal run of equal consecutive `blocks` is one
+    /// [`kernels::matmul`] call, so the output is bit-identical to a
+    /// separate [`Graph::matmul`] per run stacked by
+    /// [`Graph::concat_rows`], zero-skip contract included. `blocks`
+    /// need not be sorted and may skip blocks; a block that no row uses
+    /// gets a zero gradient.
+    ///
+    /// # Panics
+    /// If `w`'s row count is not a multiple of `k`, a block lies past
+    /// `w`'s rows, or `blocks.len()` differs from `x`'s row count.
+    pub fn rel_matmul(&mut self, x: Var, w: Var, blocks: &[usize]) -> Var {
+        let t = prof::start();
+        let op = Op::RelMatmul { x, w, blocks: blocks.to_vec() };
+        let shape = self.expect_shape(&op, None);
+        let (_, k) = self.nodes[x.0].value.shape().as_matrix();
+        let (_, n) = shape.as_matrix();
+        let xv = self.nodes[x.0].value.data();
+        let wv = self.nodes[w.0].value.data();
+        let mut out = vec![0.0; shape.numel()];
+        for (start, end, b) in block_runs(blocks) {
+            kernels::matmul(
+                &xv[start * k..end * k],
+                &wv[b * k * n..(b + 1) * k * n],
+                &mut out[start * n..end * n],
+                end - start,
+                k,
+                n,
+            );
+        }
+        let ng = self.needs(x) || self.needs(w);
+        self.push_prof(op, Tensor::from_vec(shape, out), ng, t)
     }
 
     // ---- structure ----
@@ -696,6 +742,12 @@ impl Graph {
         }
     }
 
+    /// The gradient slot of `v`, zero-filled first if still empty, for
+    /// backward rules that accumulate in place.
+    fn grad_slot<'s>(&self, grads: &'s mut [Option<Tensor>], v: Var) -> &'s mut Tensor {
+        grads[v.0].get_or_insert_with(|| Tensor::zeros(self.nodes[v.0].value.shape().clone()))
+    }
+
     /// Like [`accum`] but takes ownership, avoiding a copy when the slot
     /// is empty.
     fn accum_owned(&self, grads: &mut [Option<Tensor>], v: Var, delta: Tensor) {
@@ -755,22 +807,57 @@ impl Graph {
             Op::Neg(a) => self.accum_owned(grads, *a, grad.scale(-1.0)),
             Op::AddScalar(a, _) => self.accum(grads, *a, grad),
             Op::MulScalar(a, s) => self.accum_owned(grads, *a, grad.scale(*s)),
+            // The matmul rules accumulate straight into the operands'
+            // gradient slots: zeros are allocated only for an empty
+            // slot, never a fresh product buffer per call.
             Op::Matmul(a, b) => {
                 let av = &self.nodes[a.0].value;
                 let bv = &self.nodes[b.0].value;
                 let (m, k) = av.shape().as_matrix();
                 let (_, n) = bv.shape().as_matrix();
                 if self.needs(*a) {
-                    // dA = dC * B^T
-                    let mut da = Tensor::zeros([m, k]);
+                    // dA += dC * B^T
+                    let da = self.grad_slot(grads, *a);
                     kernels::matmul_a_bt_acc(grad.data(), bv.data(), da.data_mut(), m, n, k);
-                    self.accum_owned(grads, *a, da);
                 }
                 if self.needs(*b) {
-                    // dB = A^T * dC
-                    let mut db = Tensor::zeros([k, n]);
+                    // dB += A^T * dC
+                    let db = self.grad_slot(grads, *b);
                     kernels::matmul_at_b_acc(av.data(), grad.data(), db.data_mut(), k, m, n);
-                    self.accum_owned(grads, *b, db);
+                }
+            }
+            Op::RelMatmul { x, w, blocks } => {
+                let xv = self.nodes[x.0].value.data();
+                let wv = self.nodes[w.0].value.data();
+                let (_, k) = self.nodes[x.0].value.shape().as_matrix();
+                let (_, n) = grad.shape().as_matrix();
+                if self.needs(*x) {
+                    // dX[run] += dC[run] * W_b^T
+                    let dx = self.grad_slot(grads, *x).data_mut();
+                    for (start, end, b) in block_runs(blocks) {
+                        kernels::matmul_a_bt_acc(
+                            &grad.data()[start * n..end * n],
+                            &wv[b * k * n..(b + 1) * k * n],
+                            &mut dx[start * k..end * k],
+                            end - start,
+                            n,
+                            k,
+                        );
+                    }
+                }
+                if self.needs(*w) {
+                    // dW_b += X[run]^T * dC[run]
+                    let dw = self.grad_slot(grads, *w).data_mut();
+                    for (start, end, b) in block_runs(blocks) {
+                        kernels::matmul_at_b_acc(
+                            &xv[start * k..end * k],
+                            &grad.data()[start * n..end * n],
+                            &mut dw[b * k * n..(b + 1) * k * n],
+                            k,
+                            end - start,
+                            n,
+                        );
+                    }
                 }
             }
             Op::GatherRows(a, idx) => {
@@ -778,9 +865,7 @@ impl Graph {
                 // the input's slot. Zeros are allocated only when the slot
                 // is still empty, never a dense copy per call.
                 if self.needs(*a) {
-                    let da = grads[a.0].get_or_insert_with(|| {
-                        Tensor::zeros(self.nodes[a.0].value.shape().clone())
-                    });
+                    let da = self.grad_slot(grads, *a);
                     for (r, &i) in idx.iter().enumerate() {
                         kernels::add_assign(da.row_mut(i), grad.row(r));
                     }
@@ -971,6 +1056,20 @@ impl Graph {
     }
 }
 
+/// Maximal runs of equal consecutive entries of `blocks`, as
+/// `(start, end, block)` with `blocks[start..end]` all equal to `block`,
+/// in row order: the units [`Graph::rel_matmul`] multiplies.
+fn block_runs(blocks: &[usize]) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let &b = blocks.get(start)?;
+        let end = start + blocks[start..].iter().take_while(|&&x| x == b).count();
+        let run = (start, end, b);
+        start = end;
+        Some(run)
+    })
+}
+
 /// Fault injection for analyzer tests: these deliberately record broken
 /// nodes that the eager constructors would reject, so
 /// [`crate::tapecheck`] has something to find.
@@ -992,6 +1091,24 @@ impl Graph {
         let v = Tensor::from_vec(vec![idx.len(), cols], data);
         let ng = self.needs(a);
         self.push(Op::GatherRows(a, idx.to_vec()), v, ng)
+    }
+
+    /// Records a `RelMatmul` without shape or bounds validation; rows
+    /// whose block lies past `w` read as zeros.
+    pub(crate) fn fault_rel_matmul_unchecked(&mut self, x: Var, w: Var, blocks: &[usize]) -> Var {
+        let (e, k) = self.nodes[x.0].value.shape().as_matrix();
+        let (w_rows, n) = self.nodes[w.0].value.shape().as_matrix();
+        let mut data = vec![0.0; e * n];
+        for (row, &b) in blocks.iter().enumerate() {
+            if b < w_rows / k {
+                let x_row = &self.nodes[x.0].value.data()[row * k..(row + 1) * k];
+                let w_block = &self.nodes[w.0].value.data()[b * k * n..(b + 1) * k * n];
+                kernels::matmul(x_row, w_block, &mut data[row * n..(row + 1) * n], 1, k, n);
+            }
+        }
+        let ng = self.needs(x) || self.needs(w);
+        let op = Op::RelMatmul { x, w, blocks: blocks.to_vec() };
+        self.push(op, Tensor::from_vec(vec![e, n], data), ng)
     }
 
     /// Overwrites a node's recorded forward value, breaking the
@@ -1090,6 +1207,55 @@ mod tests {
             let s = g.square(y);
             g.sum_all(s)
         });
+    }
+
+    /// One Var is the left operand of two matmuls and the right operand
+    /// of a third. The reverse sweep reaches the third product first,
+    /// so its rule fills the empty slot and the two later rules add
+    /// into the filled one; the sum must match central differences.
+    #[test]
+    fn matmul_backward_accumulates_in_place_across_uses() {
+        grad_check([2, 2], vec![0.5, -1.0, 2.0, 0.25], |g, p| {
+            let a = g.constant(Tensor::from_vec([2, 3], vec![1.0, 2.0, -1.0, 0.5, 0.0, 1.0]));
+            let b = g.constant(Tensor::from_vec([2, 2], vec![-0.5, 1.5, 0.75, -2.0]));
+            let c = g.constant(Tensor::from_vec([3, 2], vec![0.3, -0.7, 1.1, 0.0, -0.4, 0.9]));
+            let y1 = g.matmul(p, a);
+            let y2 = g.matmul(p, b);
+            let y3 = g.matmul(c, p);
+            let s1 = g.square(y1);
+            let s2 = g.square(y2);
+            let s3 = g.square(y3);
+            let l1 = g.sum_all(s1);
+            let l2 = g.sum_all(s2);
+            let l3 = g.sum_all(s3);
+            let l12 = g.add(l1, l2);
+            g.add(l12, l3)
+        });
+    }
+
+    /// `rel_matmul` is bit-identical to one `matmul` per run of equal
+    /// blocks stacked by `concat_rows`, for unsorted blocks with a
+    /// block in two separate runs.
+    #[test]
+    fn rel_matmul_matches_per_run_matmuls_bitwise() {
+        let (k, n) = (3, 2);
+        let xs: Vec<f32> = (0..5 * k).map(|i| (i as f32 * 0.7).sin()).collect();
+        let ws: Vec<f32> = (0..3 * k * n).map(|i| (i as f32 * 1.3).cos()).collect();
+        let blocks = [2, 2, 0, 2, 1];
+        let mut g = Graph::new();
+        let x = g.constant(Tensor::from_vec([5, k], xs));
+        let w = g.constant(Tensor::from_vec([3 * k, n], ws));
+        let fused = g.rel_matmul(x, w, &blocks);
+        let mut parts = Vec::new();
+        for (rows, b) in [(0..2, 2), (2..3, 0), (3..4, 2), (4..5, 1)] {
+            let xr = g.gather_rows(x, &rows.collect::<Vec<_>>());
+            let wb = g.gather_rows(w, &(b * k..(b + 1) * k).collect::<Vec<_>>());
+            parts.push(g.matmul(xr, wb));
+        }
+        let stacked = g.concat_rows(&parts);
+        let bits = |v: Var| g.value(v).data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(g.shape(fused).dims(), &[5, n]);
+        assert_eq!(bits(fused), bits(stacked));
     }
 
     #[test]

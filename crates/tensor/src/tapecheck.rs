@@ -709,6 +709,20 @@ pub fn structure_key(g: &Graph, loss: Var, observed: &[Var], params: Option<&Par
                     }
                 }
             }
+            Op::RelMatmul { x, w, blocks } => {
+                h.len(blocks.len());
+                let (xs, ws) = (g.node_value(*x).shape(), g.node_value(*w).shape());
+                let oob = xs.rank() != 2
+                    || ws.rank() != 2
+                    || xs.dim(1) == 0
+                    || blocks.iter().any(|&b| b >= ws.dim(0) / xs.dim(1));
+                h.byte(u8::from(oob));
+                if oob {
+                    for &b in blocks {
+                        h.len(b);
+                    }
+                }
+            }
             Op::GatherFlat(a, idx) => {
                 h.len(idx.len());
                 let numel = g.node_value(*a).shape().numel();
@@ -977,10 +991,17 @@ mod tests {
         ("unconsumed-op", red_unconsumed_op),
         ("non-scalar-loss", red_non_scalar_loss),
         ("div-by-zero", red_div_by_zero),
+        ("oob-index", red_rel_matmul_block_past_weight),
     ];
 
-    const RED_CODES: &[&str] =
-        &["dead-param", "shape-mismatch", "unconsumed-op", "non-scalar-loss", "div-by-zero"];
+    const RED_CODES: &[&str] = &[
+        "dead-param",
+        "shape-mismatch",
+        "unconsumed-op",
+        "non-scalar-loss",
+        "div-by-zero",
+        "oob-index",
+    ];
 
     fn red_dead_param() -> TapeReport {
         let (ps, a, _b) = two_param_store();
@@ -1031,6 +1052,16 @@ mod tests {
         // The division by zero also produces an Inf at the Div node.
         let q = g.div(av, z);
         let loss = g.sum_all(q);
+        g.tapecheck(loss)
+    }
+
+    fn red_rel_matmul_block_past_weight() -> TapeReport {
+        let mut g = Graph::new();
+        let x = g.constant(Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]));
+        // Two blocks of two rows; block 2 lies past the stack.
+        let w = g.constant(Tensor::ones([4, 3]));
+        let m = g.fault_rel_matmul_unchecked(x, w, &[1, 2]);
+        let loss = g.sum_all(m);
         g.tapecheck(loss)
     }
 
