@@ -240,6 +240,14 @@ impl RgcnLayer {
     ///
     /// Why the identity holds, kernel by kernel:
     ///
+    /// * every matmul here and on the tape is one `kernels::matmul`.
+    ///   Whichever register path its shape selects (eight row chains for
+    ///   the `n = 1` logits, a 32-wide register row for messages, the
+    ///   self term and the basis composition), each element gets the
+    ///   scalar loop's additions in the scalar loop's order, so a row's
+    ///   bits depend on that row of `a` and on `b` alone: not on how many
+    ///   rows share the call, nor on whether the row lands in a full
+    ///   eight-row group or the remainder;
     /// * the self term is either one big `matmul` (whose rows are
     ///   computed independently, so packing rows changes nothing) or,
     ///   for the one-hot label features of layer 0, a row gather

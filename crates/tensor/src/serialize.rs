@@ -33,6 +33,8 @@ pub enum DecodeError {
     BadVersion(u32),
     /// A parameter name is not valid UTF-8.
     BadName,
+    /// A declared shape's element or byte count overflows `usize`.
+    ShapeOverflow,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -42,6 +44,9 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "not a DKGT checkpoint"),
             DecodeError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             DecodeError::BadName => write!(f, "invalid UTF-8 parameter name"),
+            DecodeError::ShapeOverflow => {
+                write!(f, "checkpoint declares a tensor too large to address")
+            }
         }
     }
 }
@@ -107,8 +112,12 @@ pub fn decode(mut buf: &[u8]) -> Result<ParamStore, DecodeError> {
             return Err(DecodeError::Truncated);
         }
         let dims: Vec<usize> = (0..rank).map(|_| buf.get_u32_le() as usize).collect();
-        let numel: usize = dims.iter().product();
-        if buf.remaining() < numel * 4 {
+        let numel = dims
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .ok_or(DecodeError::ShapeOverflow)?;
+        let payload = numel.checked_mul(4).ok_or(DecodeError::ShapeOverflow)?;
+        if buf.remaining() < payload {
             return Err(DecodeError::Truncated);
         }
         let data: Vec<f32> = (0..numel).map(|_| buf.get_f32_le()).collect();
@@ -165,6 +174,27 @@ mod tests {
         buf.put_u32_le(99);
         buf.put_u32_le(0);
         assert_eq!(decode(&buf).unwrap_err(), DecodeError::BadVersion(99));
+    }
+
+    /// A header whose dims multiply past `usize` is a typed error, not a
+    /// debug-build overflow panic or a release-build wrap to an empty
+    /// tensor claiming 2^64 elements: once in the element count, once in
+    /// the byte count.
+    #[test]
+    fn rejects_shape_overflow() {
+        for dims in [[65536u32; 4], [65536, 65536, 65536, 16384]] {
+            let mut buf = BytesMut::new();
+            buf.put_slice(MAGIC);
+            buf.put_u32_le(VERSION);
+            buf.put_u32_le(1);
+            buf.put_u32_le(1);
+            buf.put_slice(b"w");
+            buf.put_u32_le(dims.len() as u32);
+            for d in dims {
+                buf.put_u32_le(d);
+            }
+            assert_eq!(decode(&buf).unwrap_err(), DecodeError::ShapeOverflow, "dims {dims:?}");
+        }
     }
 
     #[test]

@@ -24,6 +24,13 @@ grep -q '"errors": 0' <<< "$lint_json"
 echo "==> cargo test --workspace"
 cargo test -q --workspace --offline
 
+echo "==> tensor unit tests, optimized"
+# The suite above is a debug build, so it never runs the autovectorized
+# register paths of the matmul kernels that release binaries execute.
+# Their bit-equality tests against the scalar loops, and the checkpoint
+# decoder's overflow test, run here in release as well.
+cargo test -q --release --offline -p dekg-tensor --lib
+
 echo "==> repository benchmark self-tests (dekgbench)"
 # The benchmark is its own workspace, so the test above does not reach
 # it. Its self-tests include the bitwise fit == public-call replay check,
