@@ -57,7 +57,9 @@ pub mod prelude {
 
 pub use config::{Ablation, DekgIlpConfig};
 pub use model::{write_file_atomic, DekgIlp};
-pub use profile::{profile_eval, profile_train, profile_train_outputs, ProfileReport};
+pub use profile::{
+    profile_eval, profile_train, profile_train_paired, PairedProfile, ProfileReport,
+};
 pub use train::{
     batch_loss, batch_loss_parts, grad_check_dataset, prepare_batch, record_prepared,
     tape_check_dataset, BatchLossBreakdown, PreparedBatch,

@@ -7,7 +7,7 @@ use crate::gsm::{Gsm, InferenceWorkspace};
 use crate::traits::{InferenceGraph, LinkPredictor, TrainReport, TrainableModel};
 use dekg_datasets::DekgDataset;
 use dekg_gnn::SubgraphEncoderConfig;
-use dekg_kg::{BatchedSubgraphs, DistanceBackend, Subgraph, SubgraphExtractor, Triple};
+use dekg_kg::{BatchedSubgraphs, Subgraph, SubgraphExtractor, Triple};
 use dekg_tensor::{Graph, ParamStore};
 use rand::{RngCore, SeedableRng};
 use std::cell::RefCell;
@@ -89,10 +89,6 @@ pub struct DekgIlp {
     clrm: Option<Clrm>,
     gsm: Gsm,
     num_relations: usize,
-    /// Extraction implementation — runtime state, not a hyperparameter:
-    /// both backends produce bit-identical subgraphs, so it is kept out
-    /// of the serialized config (checkpoint `.json` stays stable).
-    distance_backend: DistanceBackend,
     /// Candidates packed per block-diagonal batch. Scores are
     /// bitwise-invariant to this knob (a tested invariant); it only
     /// trades peak memory against packing amortization.
@@ -127,27 +123,7 @@ impl DekgIlp {
             &mut params,
             &mut rng,
         );
-        DekgIlp {
-            cfg,
-            params,
-            clrm,
-            gsm,
-            num_relations,
-            distance_backend: DistanceBackend::default(),
-            eval_batch: 64,
-        }
-    }
-
-    /// The subgraph-extraction backend scoring runs on.
-    pub fn distance_backend(&self) -> DistanceBackend {
-        self.distance_backend
-    }
-
-    /// Switches the extraction backend. [`DistanceBackend::DenseReference`]
-    /// is the seed implementation, kept so the perf harness can measure
-    /// the sparse backend against an identical-output baseline.
-    pub fn set_distance_backend(&mut self, backend: DistanceBackend) {
-        self.distance_backend = backend;
+        DekgIlp { cfg, params, clrm, gsm, num_relations, eval_batch: 64 }
     }
 
     /// Candidates packed per block-diagonal batch.
@@ -333,7 +309,6 @@ impl DekgIlp {
     /// The subgraph extractor φ_tpo scoring runs on.
     pub(crate) fn extractor<'g>(&self, graph: &'g InferenceGraph) -> SubgraphExtractor<'g> {
         SubgraphExtractor::new(&graph.adjacency, self.cfg.hops, self.cfg.extraction_mode())
-            .with_backend(self.distance_backend)
     }
 
     /// φ_tpo via the batched candidate-ranking engine.

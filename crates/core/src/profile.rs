@@ -19,10 +19,10 @@
 //!   measured.
 //! * **Determinism** — profiling observes and never participates:
 //!   enabling it cannot change any loss or score bit (asserted in the
-//!   perf harness and in this module's tests).
+//!   perf harness and in `crates/core/tests/profile.rs`).
 
 use crate::model::DekgIlp;
-use crate::train::{prepare_batch, record_prepared};
+use crate::train::{prepare_batch, record_prepared, PreparedBatch};
 use crate::traits::InferenceGraph;
 use dekg_datasets::{DekgDataset, NegativeSampler};
 use dekg_kg::{EntityId, Subgraph, Triple};
@@ -153,13 +153,55 @@ fn export_metrics(ops: &[dekg_tensor::OpProfile]) {
     }
 }
 
+/// The profiled training workload: a profiling-sized model, its
+/// training view and one prepared batch per slot, `min(batches,
+/// distinct)` of them. Batch `i` replays slot `i % distinct`: the same
+/// seed and positives, hence the same tape structure. Each slot keeps
+/// its rng as it stood after preparation, so recording from a clone of
+/// it replays the same tape.
+///
+/// # Panics
+/// When `batches` or `distinct` is zero or the dataset has no triples.
+fn train_workload(
+    dataset: &DekgDataset,
+    seed: u64,
+    batches: usize,
+    distinct: usize,
+) -> (DekgIlp, InferenceGraph, Vec<(PreparedBatch, ChaCha8Rng)>) {
+    assert!(batches > 0 && distinct > 0, "training profiles need batches > 0 and distinct > 0");
+    let triples = dataset.original.triples();
+    assert!(!triples.is_empty(), "training profiles need a non-empty original KG");
+
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let model = DekgIlp::new(profile_config(), dataset, &mut rng);
+    let train_graph = InferenceGraph::training_view(dataset);
+    let sampler =
+        NegativeSampler::new(0..dataset.num_original_entities as u32, vec![&dataset.original]);
+    let prepared = (0..batches.min(distinct))
+        .map(|slot| {
+            let mut brng =
+                ChaCha8Rng::seed_from_u64(seed ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let start = (slot * BATCH) % triples.len();
+            let batch: Vec<Triple> = triples
+                .iter()
+                .cycle()
+                .skip(start)
+                .take(BATCH.min(triples.len()))
+                .copied()
+                .collect();
+            (prepare_batch(&model, &sampler, &train_graph, &batch, &mut brng), brng)
+        })
+        .collect();
+    (model, train_graph, prepared)
+}
+
 /// Profiles `batches` executions of the production Eq. 15 training
 /// tape (record + backward) on a fresh profiling-sized model.
 ///
 /// Batches rotate through `distinct` structurally distinct shapes, so
 /// the per-structure rows demonstrate folding: `batches` executions
 /// collapse to at most `distinct` keys. Preparation (negative
-/// sampling, extraction) happens outside the timed bracket.
+/// sampling, extraction) happens up front, outside the timed bracket.
 ///
 /// # Panics
 /// When `batches` or `distinct` is zero or the dataset has no triples.
@@ -169,35 +211,19 @@ pub fn profile_train(
     batches: usize,
     distinct: usize,
 ) -> ProfileReport {
-    assert!(batches > 0 && distinct > 0, "profile_train needs batches > 0 and distinct > 0");
-    let triples = dataset.original.triples();
-    assert!(!triples.is_empty(), "profile_train needs a non-empty original KG");
-
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let model = DekgIlp::new(profile_config(), dataset, &mut rng);
-    let train_graph = InferenceGraph::training_view(dataset);
-    let sampler =
-        NegativeSampler::new(0..dataset.num_original_entities as u32, vec![&dataset.original]);
+    let (model, train_graph, slots) = train_workload(dataset, seed, batches, distinct);
 
     prof::reset();
     prof::set_enabled(true);
     let mut span_seconds = 0.0f64;
     let mut nodes = 0u64;
     for i in 0..batches {
-        let slot = i % distinct;
-        // Same slot → same seed and same positives → the same tape
-        // structure, so repeated batches fold onto one structure key.
-        let mut brng =
-            ChaCha8Rng::seed_from_u64(seed ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let start = (slot * BATCH) % triples.len();
-        let batch: Vec<Triple> =
-            triples.iter().cycle().skip(start).take(BATCH.min(triples.len())).copied().collect();
-        let prepared = prepare_batch(&model, &sampler, &train_graph, &batch, &mut brng);
-
+        let (prepared, brng) = &slots[i % slots.len()];
+        let mut brng = brng.clone();
         let span = dekg_obs::span!("profile_tape_execute");
         let started = Instant::now();
         let mut g = Graph::new();
-        let parts = record_prepared(&mut g, &model, dataset, &train_graph, &prepared, &mut brng);
+        let parts = record_prepared(&mut g, &model, dataset, &train_graph, prepared, &mut brng);
         let grads = g.backward(parts.total);
         let dt = started.elapsed().as_secs_f64();
         drop(span);
@@ -219,58 +245,75 @@ pub fn profile_train(
     ProfileReport { ops: snap.ops, tapes: snap.tapes, span_seconds, batches, nodes }
 }
 
-/// One execution of the exact [`profile_train`] workload with the
-/// kernel profiler forced on or off, for the perf harness's
-/// observer-contract checks: returns the per-batch bracket seconds
-/// plus the output bits — every per-batch loss, then every parameter
-/// gradient of the final batch. Two runs that differ only in
-/// `profiled` must return identical bits (profiling observes, never
-/// participates), and their seconds bound the profiler's overhead.
-/// Seconds are reported per batch (not summed) so a caller comparing
-/// runs can take the minimum per batch across repeats — a scheduler
-/// stall then has to hit the *same* batch in *every* repeat to bias
-/// the overhead estimate, instead of any batch in any repeat.
+/// The perf harness's profiler observer contract, measured in one
+/// [`profile_train_paired`] run.
+#[derive(Debug, Clone)]
+pub struct PairedProfile {
+    /// The profiler-on executions as a [`profile_train`]-style report:
+    /// hot-op table, folded tape rows and their bracket (coverage).
+    pub report: ProfileReport,
+    /// Summed bracket seconds of the paired profiler-off executions
+    /// (the profiler-on sum is `report.span_seconds`).
+    pub unprofiled_seconds: f64,
+    /// Median over all pairs of `on / off - 1`.
+    pub overhead_ratio: f64,
+    /// Every per-batch loss bit and every gradient bit of the final
+    /// batch were equal with the profiler on and off, in every round.
+    pub outputs_identical: bool,
+}
+
+/// Runs the exact [`profile_train`] workload with the kernel profiler
+/// off and on, paired per batch, for the perf harness's overhead bar.
+///
+/// The model is built once and each distinct batch is prepared once;
+/// every run of a batch records and back-propagates that prepared batch
+/// from a clone of its post-preparation rng, so the two modes execute
+/// identical tapes. For every round and every batch the two modes run
+/// back to back, the first mode alternating with `(round + batch) % 2`,
+/// after one untimed warm-up pass. The overhead is the median of the
+/// per-pair ratios: both runs of a pair share the host's state, so a
+/// scheduler stall or host drift moves one pair's ratio, not the
+/// median. The profiler-on executions also fill the returned report,
+/// so one call yields coverage, overhead and the bitwise on/off
+/// comparison.
 ///
 /// Leaves the global profiler disabled and does not export metrics.
 ///
 /// # Panics
-/// When `batches` or `distinct` is zero or the dataset has no triples.
-pub fn profile_train_outputs(
+/// When `batches`, `distinct` or `rounds` is zero, or the dataset has
+/// no triples.
+pub fn profile_train_paired(
     dataset: &DekgDataset,
     seed: u64,
     batches: usize,
     distinct: usize,
-    profiled: bool,
-) -> (Vec<f64>, Vec<u32>) {
-    assert!(batches > 0 && distinct > 0, "profile_train_outputs needs batches/distinct > 0");
-    let triples = dataset.original.triples();
-    assert!(!triples.is_empty(), "profile_train_outputs needs a non-empty original KG");
+    rounds: usize,
+) -> PairedProfile {
+    assert!(rounds > 0, "profile_train_paired needs rounds > 0");
+    let (model, train_graph, slots) = train_workload(dataset, seed, batches, distinct);
 
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let model = DekgIlp::new(profile_config(), dataset, &mut rng);
-    let train_graph = InferenceGraph::training_view(dataset);
-    let sampler =
-        NegativeSampler::new(0..dataset.num_original_entities as u32, vec![&dataset.original]);
-
-    prof::reset();
-    prof::set_enabled(profiled);
-    let mut batch_seconds = Vec::with_capacity(batches);
-    let mut bits: Vec<u32> = Vec::new();
-    for i in 0..batches {
-        let slot = i % distinct;
-        let mut brng =
-            ChaCha8Rng::seed_from_u64(seed ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let start = (slot * BATCH) % triples.len();
-        let batch: Vec<Triple> =
-            triples.iter().cycle().skip(start).take(BATCH.min(triples.len())).copied().collect();
-        let prepared = prepare_batch(&model, &sampler, &train_graph, &batch, &mut brng);
-
+    // One timed record + backward of batch `i`; output bits go to
+    // `bits`, and a profiled run also files its tape-structure row.
+    let run = |i: usize, profiled: bool, bits: &mut Vec<u32>| -> (f64, u64) {
+        let (batch, brng) = &slots[i % slots.len()];
+        let mut brng = brng.clone();
+        prof::set_enabled(profiled);
         let started = Instant::now();
         let mut g = Graph::new();
-        let parts = record_prepared(&mut g, &model, dataset, &train_graph, &prepared, &mut brng);
+        let parts = record_prepared(&mut g, &model, dataset, &train_graph, batch, &mut brng);
         let grads = g.backward(parts.total);
-        batch_seconds.push(started.elapsed().as_secs_f64());
+        let dt = started.elapsed().as_secs_f64();
+        prof::set_enabled(false);
 
+        if profiled {
+            let key = dekg_tensor::tapecheck::structure_key(
+                &g,
+                parts.total,
+                &parts.observed_vars(),
+                Some(model.params()),
+            );
+            prof::record_tape(key, g.len() as u64, dt);
+        }
         bits.push(g.value(parts.total).item().to_bits());
         if i == batches - 1 {
             for (id, _, _) in model.params().iter() {
@@ -279,10 +322,52 @@ pub fn profile_train_outputs(
                 }
             }
         }
+        (dt, g.len() as u64)
+    };
+
+    let mut scratch = Vec::new();
+    for i in 0..batches {
+        run(i, false, &mut scratch);
+        run(i, true, &mut scratch);
     }
-    prof::set_enabled(false);
     prof::reset();
-    (batch_seconds, bits)
+    let mut ratios = Vec::with_capacity(rounds * batches);
+    let (mut off_bits, mut on_bits) = (Vec::new(), Vec::new());
+    let (mut unprofiled_seconds, mut span_seconds, mut nodes) = (0.0f64, 0.0f64, 0u64);
+    for round in 0..rounds {
+        for i in 0..batches {
+            let ((off, _), (on, n)) = if (round + i) % 2 == 1 {
+                let on = run(i, true, &mut on_bits);
+                (run(i, false, &mut off_bits), on)
+            } else {
+                let off = run(i, false, &mut off_bits);
+                (off, run(i, true, &mut on_bits))
+            };
+            ratios.push(on / off);
+            unprofiled_seconds += off;
+            span_seconds += on;
+            nodes += n;
+        }
+    }
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    let median =
+        if ratios.len() % 2 == 0 { (ratios[mid - 1] + ratios[mid]) / 2.0 } else { ratios[mid] };
+    let snap = prof::snapshot();
+    prof::reset();
+    PairedProfile {
+        report: ProfileReport {
+            ops: snap.ops,
+            tapes: snap.tapes,
+            span_seconds,
+            batches: batches * rounds,
+            nodes,
+        },
+        unprofiled_seconds,
+        overhead_ratio: median - 1.0,
+        // More bits than one loss per run: the gradients were compared.
+        outputs_identical: off_bits.len() > batches * rounds && off_bits == on_bits,
+    }
 }
 
 /// Profiles `queries` mounted evaluation tapes (forward only — the

@@ -9,7 +9,7 @@
 //! and no threads of its own, so it shares none of the batched
 //! engine's moving parts. Every production score must equal it bit for
 //! bit; `evaluate(&TapeReference::new(&model), …)` is the end-to-end
-//! oracle the tests and the perf harness run against.
+//! oracle the tests run against.
 
 use crate::model::DekgIlp;
 use crate::traits::{InferenceGraph, LinkPredictor};
@@ -20,9 +20,8 @@ const CHUNK: usize = 64;
 
 /// A [`LinkPredictor`] that scores a [`DekgIlp`] through the tape.
 ///
-/// Extraction runs on the model's
-/// [`distance_backend`](DekgIlp::distance_backend), so the perf
-/// harness can pair the tape with the dense reference extractor.
+/// Extraction runs on the model's own extractor, one plain
+/// [`extract`](dekg_kg::SubgraphExtractor::extract) per candidate.
 #[derive(Debug, Clone, Copy)]
 pub struct TapeReference<'m> {
     model: &'m DekgIlp,

@@ -35,8 +35,6 @@ pub use batch::{BatchedSubgraphs, RelEdgeGroup};
 pub use component_table::{ComponentRow, ComponentTable};
 pub use graph::KnowledgeGraph;
 pub use store::TripleStore;
-pub use subgraph::{
-    DistanceBackend, ExtractionMode, QueryExtractionCache, Subgraph, SubgraphExtractor,
-};
+pub use subgraph::{ExtractionMode, QueryExtractionCache, Subgraph, SubgraphExtractor};
 pub use triple::Triple;
 pub use vocab::{EntityId, RelationId, Vocab};

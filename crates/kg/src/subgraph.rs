@@ -20,7 +20,6 @@ use crate::adjacency::Adjacency;
 use crate::bfs::{bounded_distances, sparse_bounded_distances, UNREACHED};
 use crate::triple::Triple;
 use crate::vocab::{EntityId, RelationId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -55,23 +54,6 @@ pub enum ExtractionMode {
     Intersection,
     /// DEKG-ILP: `N_t(h) ∪ N_t(t)`; out-of-bound distances become −1.
     Union,
-}
-
-/// Which BFS/collection implementation an extractor runs on.
-///
-/// Both produce bit-identical [`Subgraph`]s (unit- and property-tested);
-/// they differ only in cost. The dense backend is the original seed
-/// implementation, kept as a correctness oracle and as the benchmark
-/// baseline that `BENCH_perf.json` speedups are measured against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DistanceBackend {
-    /// Visited-set BFS + neighborhood-sized collection: cost scales with
-    /// the t-hop subgraph, not the whole graph. The default.
-    #[default]
-    Sparse,
-    /// Dense `O(|E|)` distance vectors + full-entity scan per
-    /// extraction: the seed implementation, retained as reference.
-    DenseReference,
 }
 
 /// An edge of the extracted subgraph in local node indices.
@@ -219,6 +201,13 @@ impl CollectScratch {
 
 /// Extractor bound to one graph (store + adjacency).
 ///
+/// Every production path — [`Self::extract`], [`Self::extract_batch`]
+/// and [`Self::extract_with_cached_source`] — runs the sparse
+/// visited-set BFS, whose cost scales with the t-hop neighborhood.
+/// [`Self::extract_dense_reference`] keeps the seed's dense `O(|E|)`
+/// implementation as the test oracle those paths are pinned against;
+/// it is not a runtime option.
+///
 /// ```
 /// use dekg_kg::{Adjacency, EntityId, ExtractionMode, SubgraphExtractor, Triple, TripleStore};
 ///
@@ -246,25 +235,16 @@ pub struct SubgraphExtractor<'a> {
     adj: &'a Adjacency,
     hops: u32,
     mode: ExtractionMode,
-    backend: DistanceBackend,
 }
 
 impl<'a> SubgraphExtractor<'a> {
-    /// Creates an extractor performing `hops`-hop extraction with the
-    /// default [`DistanceBackend::Sparse`] implementation.
+    /// Creates an extractor performing `hops`-hop extraction.
     ///
     /// # Panics
     /// If `hops == 0`.
     pub fn new(adj: &'a Adjacency, hops: u32, mode: ExtractionMode) -> Self {
         assert!(hops > 0, "subgraph extraction needs at least 1 hop");
-        SubgraphExtractor { adj, hops, mode, backend: DistanceBackend::default() }
-    }
-
-    /// Selects the BFS/collection implementation (builder-style).
-    #[must_use]
-    pub fn with_backend(mut self, backend: DistanceBackend) -> Self {
-        self.backend = backend;
-        self
+        SubgraphExtractor { adj, hops, mode }
     }
 
     /// The hop bound `t`.
@@ -277,11 +257,6 @@ impl<'a> SubgraphExtractor<'a> {
         self.mode
     }
 
-    /// The active BFS/collection implementation.
-    pub fn backend(&self) -> DistanceBackend {
-        self.backend
-    }
-
     /// Extracts the enclosing subgraph around `(head, ·, tail)`.
     ///
     /// `exclude` is removed from the induced edge set — pass the target
@@ -290,10 +265,7 @@ impl<'a> SubgraphExtractor<'a> {
     /// completely isolated (the bridging-link case).
     pub fn extract(&self, head: EntityId, tail: EntityId, exclude: Option<Triple>) -> Subgraph {
         let _span = dekg_obs::span!("extract_subgraph");
-        let sg = match self.backend {
-            DistanceBackend::Sparse => self.extract_sparse(head, tail, exclude),
-            DistanceBackend::DenseReference => self.extract_dense(head, tail, exclude),
-        };
+        let sg = self.extract_sparse(head, tail, exclude);
         let obs = extraction_obs();
         obs.extractions.inc();
         if sg.is_disconnected() {
@@ -389,10 +361,18 @@ impl<'a> SubgraphExtractor<'a> {
         (sg, hit)
     }
 
-    /// Seed implementation: dense distance vectors plus a scan over
-    /// every entity in the graph. `O(|E|)` per call regardless of how
-    /// small the enclosing subgraph is.
-    fn extract_dense(&self, head: EntityId, tail: EntityId, exclude: Option<Triple>) -> Subgraph {
+    /// The dense reference extraction — the test oracle [`Self::extract`]
+    /// is pinned against, bit for bit. It is the seed implementation:
+    /// dense distance vectors plus a scan over every entity in the
+    /// graph, `O(|E|)` per call regardless of how small the enclosing
+    /// subgraph is. It records no extraction metrics; production code
+    /// never calls it.
+    pub fn extract_dense_reference(
+        &self,
+        head: EntityId,
+        tail: EntityId,
+        exclude: Option<Triple>,
+    ) -> Subgraph {
         let dist_h = bounded_distances(self.adj, head, self.hops, Some(tail));
         let dist_t = bounded_distances(self.adj, tail, self.hops, Some(head));
 
@@ -426,9 +406,9 @@ impl<'a> SubgraphExtractor<'a> {
     /// Sparse implementation: visited-set BFS plus collection over the
     /// union of the two neighborhoods. Cost scales with the extracted
     /// subgraph. Produces output bit-identical to
-    /// [`Self::extract_dense`]: BFS distances are unique per node, and
-    /// non-endpoint nodes are sorted into the same ascending-global-id
-    /// order the dense entity scan yields.
+    /// [`Self::extract_dense_reference`]: BFS distances are unique per
+    /// node, and non-endpoint nodes are sorted into the same
+    /// ascending-global-id order the dense entity scan yields.
     fn extract_sparse(&self, head: EntityId, tail: EntityId, exclude: Option<Triple>) -> Subgraph {
         let sparse_h = sparse_bounded_distances(self.adj, head, self.hops, Some(tail));
         let sparse_t = sparse_bounded_distances(self.adj, tail, self.hops, Some(head));
@@ -697,21 +677,20 @@ mod tests {
         assert!(sg.is_disconnected());
     }
 
-    /// Both backends must agree bit-for-bit on every (head, tail, mode,
-    /// hops, exclude) combination over a given adjacency.
-    fn assert_backends_agree(adj: &Adjacency, num_entities: u32) {
+    /// Sparse extraction must agree bit-for-bit with the dense reference
+    /// on every (head, tail, mode, hops, exclude) combination over a
+    /// given adjacency.
+    fn assert_matches_dense_reference(adj: &Adjacency, num_entities: u32) {
         for mode in [ExtractionMode::Intersection, ExtractionMode::Union] {
             for hops in 1..4 {
-                let sparse = SubgraphExtractor::new(adj, hops, mode);
-                let dense = SubgraphExtractor::new(adj, hops, mode)
-                    .with_backend(DistanceBackend::DenseReference);
+                let ex = SubgraphExtractor::new(adj, hops, mode);
                 for h in 0..num_entities {
                     for ta in 0..num_entities {
                         let (head, tail) = (EntityId(h), EntityId(ta));
                         for exclude in [None, Some(Triple::new(head, RelationId(0), tail))] {
                             assert_eq!(
-                                sparse.extract(head, tail, exclude),
-                                dense.extract(head, tail, exclude),
+                                ex.extract(head, tail, exclude),
+                                ex.extract_dense_reference(head, tail, exclude),
                                 "mode={mode:?} hops={hops} head={h} tail={ta} \
                                  exclude={exclude:?}"
                             );
@@ -725,11 +704,11 @@ mod tests {
     #[test]
     fn sparse_backend_matches_dense_reference() {
         let (_, adj) = two_component_graph();
-        assert_backends_agree(&adj, 6);
+        assert_matches_dense_reference(&adj, 6);
         // Triangle + pendant, including self-loop-ish degenerate pairs.
         let store = TripleStore::from_triples([t(0, 0, 1), t(1, 0, 2), t(2, 0, 0), t(2, 1, 3)]);
         let adj = Adjacency::from_store(&store, 5);
-        assert_backends_agree(&adj, 5);
+        assert_matches_dense_reference(&adj, 5);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! **Zero-cost-when-disabled.** [`set_spans_enabled`]`(false)` turns
 //! [`SpanTimer::enter`] into a single relaxed atomic load returning an
 //! inert guard — no clock read, no lock. The perf harness disables
-//! spans so timing comparisons against the seed stay fair.
+//! spans so its profiler-overhead measurement times the profiler alone.
 //!
 //! Span *seconds* are wall-clock measurements and sit outside the
 //! determinism contract; span *counts* are additive `u64`s and inside

@@ -220,7 +220,7 @@ fn reason(status: u16) -> &'static str {
 
 /// Minimal blocking HTTP client for the daemon's API — shared by the
 /// `dekg request` subcommand, the serve smoke in `scripts/check.sh`,
-/// the perf harness's load generator and the integration tests.
+/// the benchmark's load generator and the integration tests.
 ///
 /// Sends one request and reads the full response (the server closes the
 /// connection after each exchange). Returns `(status, body)`.

@@ -98,12 +98,15 @@ cargo run -q --release --offline -p dekg-cli -- \
 cargo run -q --release --offline -p dekg-cli -- \
     obslint --file "$tmp/prof_trace.json" --chrome
 
-echo "==> perf harness smoke run (2 threads, tiny scale)"
-# Asserts the parallel/sparse/batched pipeline stays bit-identical
-# to the serial seed pipeline; the tracked numbers in BENCH_perf.json
-# are regenerated separately with the default flags.
+echo "==> perf harness smoke run (tiny scale)"
+# Asserts the observer contracts nothing else checks: the kernel
+# profiler covers >= 90% of the training tape's bracket, changes no
+# loss or gradient bit and adds < 5% wall time (paired per batch);
+# cache-served tape analysis hits every time at < 0.5x the cost of
+# recording the tape. Each bar is an assert inside the run, so any
+# breach exits nonzero. Speed itself is measured by dekgbench.
 cargo run -q --release --offline -p dekg-bench --bin perf -- \
-    --threads 2 --scale 0.04 --epochs 1 --out "$tmp/BENCH_perf.json"
+    --scale 0.04 --out "$tmp/BENCH_perf.json"
 
 echo "==> zero-allocation sanitizer: warmed batched scoring loop"
 # Under a counting global allocator, 64 steady-state iterations of the
@@ -114,21 +117,6 @@ echo "==> zero-allocation sanitizer: warmed batched scoring loop"
 cargo run -q --release --offline -p dekg-bench --features count-alloc --bin perf -- \
     --alloc-check --out "$tmp/BENCH_perf.json"
 grep -q '"measured_peak_delta_bytes"' "$tmp/BENCH_perf.json"
-
-echo "==> perf-regression watchdog: --compare"
-# A report must hold every tracked speedup/coverage ratio of its
-# baseline: self-comparison passes, and a baseline with an inflated
-# speedup (simulating a regression in the current run) must fail
-# nonzero — that exact failure is the CI tripwire for perf regressions.
-cargo run -q --release --offline -p dekg-bench --bin perf -- \
-    --out "$tmp/BENCH_perf.json" --compare "$tmp/BENCH_perf.json"
-sed -E 's/"end_to_end_eval_speedup": [0-9.eE+-]+/"end_to_end_eval_speedup": 99999.0/' \
-    "$tmp/BENCH_perf.json" > "$tmp/BENCH_tampered.json"
-if cargo run -q --release --offline -p dekg-bench --bin perf -- \
-    --out "$tmp/BENCH_perf.json" --compare "$tmp/BENCH_tampered.json" > /dev/null; then
-    echo "watchdog failed to flag an injected regression" >&2
-    exit 1
-fi
 
 echo "==> batched-engine pins under a shuffled schedule"
 # The batched candidate-ranking engine must reproduce the per-candidate

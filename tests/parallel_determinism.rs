@@ -4,8 +4,9 @@
 //! sampling / epoch assembly, and the ranking protocol — all promise
 //! results that are a pure function of their inputs and seeds,
 //! independent of the worker thread count. These tests pin that
-//! contract on the tiny fixture: every comparison is exact equality,
-//! not a tolerance.
+//! contract on the tiny fixture (and, for extraction against the dense
+//! reference, on a generated FB15k-237-profile dataset): every
+//! comparison is exact equality, not a tolerance.
 
 use dekg::core::reference::TapeReference;
 use dekg::prelude::*;
@@ -44,6 +45,46 @@ fn batch_extraction_matches_serial() {
         pool(1).install(|| links.iter().map(|&(h, t, ex)| extractor.extract(h, t, ex)).collect());
     let parallel = pool(4).install(|| extractor.extract_batch(&links));
     assert_eq!(serial, parallel);
+}
+
+/// The parallel sparse extraction equals the dense reference (the seed
+/// implementation) on a generated FB15k-237-profile dataset, not only
+/// on hand-built unit-test graphs: every test link plus a slice of the
+/// original KG, in both modes, with and without the target excluded.
+#[test]
+fn batch_extraction_matches_dense_reference() {
+    let _obs = obs_lock();
+    let profile = DatasetProfile::table2(RawKg::Fb15k237, SplitKind::Eq).scaled(0.04);
+    let mut synth = SynthConfig::for_profile(profile, 1);
+    synth.num_test_enclosing = synth.num_test_enclosing.clamp(40, 120);
+    synth.num_test_bridging = synth.num_test_bridging.clamp(40, 120);
+    let data = generate(&synth);
+    let graph = InferenceGraph::from_dataset(&data);
+    let targets: Vec<Triple> = data
+        .test_enclosing
+        .iter()
+        .chain(&data.test_bridging)
+        .chain(data.original.triples().iter().take(120))
+        .copied()
+        .collect();
+    for mode in [ExtractionMode::Intersection, ExtractionMode::Union] {
+        let extractor = SubgraphExtractor::new(&graph.adjacency, 2, mode);
+        let mut edges = [0usize; 2];
+        for (exclude, total) in [false, true].into_iter().zip(&mut edges) {
+            let links: Vec<(EntityId, EntityId, Option<Triple>)> =
+                targets.iter().map(|t| (t.head, t.tail, exclude.then_some(*t))).collect();
+            let dense: Vec<Subgraph> = links
+                .iter()
+                .map(|&(h, t, ex)| extractor.extract_dense_reference(h, t, ex))
+                .collect();
+            let sparse = pool(4).install(|| extractor.extract_batch(&links));
+            assert_eq!(dense, sparse, "mode={mode:?} exclude={exclude}");
+            *total = sparse.iter().map(Subgraph::num_edges).sum();
+        }
+        // The original-KG targets are in the graph, so excluding them
+        // must remove edges — the `exclude` arm is really exercised.
+        assert!(edges[1] < edges[0], "mode={mode:?}: exclusion removed no edge {edges:?}");
+    }
 }
 
 #[test]
