@@ -25,9 +25,8 @@ commands:
   evaluate  --data DIR --ckpt FILE [--candidates N] [--split eq|mb|me] [--seed N]
             [--threads N] [observability flags]
   predict   --data DIR --ckpt FILE --rel NAME (--head NAME | --tail NAME) [--top N]
-  serve     --data DIR --ckpt FILE [--addr HOST:PORT] [--workers N] [--max-batch N]
-            [--max-wait-ms N] [--queue-depth N] [--slow-ms N] [--port-file FILE]
-            [observability flags]
+  serve     --data DIR --ckpt FILE [--addr HOST:PORT] [--workers N] [--queue-depth N]
+            [--slow-ms N] [--port-file FILE] [observability flags]
   request   --addr HOST:PORT [--path /rank] [--method GET|POST] [--body JSON]
             [--timing]
   profile   train --data DIR [--batches N] [--distinct N] [--seed N]
@@ -552,8 +551,6 @@ pub fn serve(flags: &Flags) -> CliResult {
     let cfg = dekg_serve::ServeConfig {
         addr: flags.get("addr").unwrap_or("127.0.0.1:8080").to_owned(),
         workers: flags.parse_or("workers", 0)?,
-        max_batch: flags.parse_or("max-batch", 8)?,
-        max_wait_ms: flags.parse_or("max-wait-ms", 1)?,
         queue_depth: flags.parse_or("queue-depth", 128)?,
         slow_ms: flags.parse_or("slow-ms", 250)?,
     };

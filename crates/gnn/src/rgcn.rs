@@ -254,12 +254,16 @@ impl RgcnLayer {
     ///   implemented as `0 + w_row` adds in ascending one-hot column
     ///   order — exactly the FLOPs the zero-skip `matmul` performs on a
     ///   one-hot row (`labels` selects this);
-    /// * per relation group, messages and attention logits for all
-    ///   segments' edges run as one packed matmul each. Matmul rows are
-    ///   independent, so each edge's message and logit equal the tape's.
-    ///   The tape's `rel_matmul` runs one matmul per run of equal
-    ///   relations against that relation's `[in, out]` block, and one
-    ///   matmul computes the logits for all of a subgraph's edges;
+    /// * per relation group, the logits of all segments' edges come from
+    ///   one `kernels::indexed_concat_dot` and the scaled messages from one
+    ///   `kernels::indexed_matmul_scale_scatter`. Both read `h[src]`,
+    ///   `h[dst]`, `q_r` and `W_r` in place, yet each has the bits of the
+    ///   gather → `matmul` → scale → scatter composition (the kernels
+    ///   module's indexed-read contract, pinned there bit for bit):
+    ///   matmul rows are independent, so each edge's message and logit
+    ///   equal the tape's. The tape's `rel_matmul` runs one matmul per run
+    ///   of equal relations against that relation's `[in, out]` block, and
+    ///   one matmul computes the logits for all of a subgraph's edges;
     /// * with bases, `W_r` here is the `[1, B] · [B, in·out]` product of
     ///   row `r` of the coefficients. The tape composes all used
     ///   relations in one `[U, B]` matmul, whose row for `r` is computed
@@ -297,7 +301,6 @@ impl RgcnLayer {
         let n = batch.total_nodes();
         let in_dim = self.cfg.in_dim;
         let out_dim = self.cfg.out_dim;
-        let attn_dim = self.cfg.attn_dim;
         debug_assert_eq!(h.len(), n * in_dim, "packed embedding shape mismatch");
         let w_self = params.get(self.w_self).data();
         let bias = params.get(self.bias).data();
@@ -333,12 +336,10 @@ impl RgcnLayer {
             }
         }
 
-        let att_width = 2 * in_dim + attn_dim;
         scratch.agg.clear();
         scratch.agg.resize(n * out_dim, 0.0);
         for group in batch.by_rel() {
             let rel = group.rel;
-            let n_e = group.srcs.len();
             let w_r: &[f32] = match &self.rel_weights {
                 // The tape's rel_matmul reads block `rel` of the full
                 // stack: rows rel*in..(rel+1)*in, this very slice.
@@ -362,39 +363,32 @@ impl RgcnLayer {
                 }
             };
 
-            // Gather h_src and assemble [h_s ⊕ h_t ⊕ q_r] per edge,
-            // across all participating segments at once.
-            scratch.h_src.resize(n_e * in_dim, 0.0);
-            scratch.att_in.resize(n_e * att_width, 0.0);
-            let q_r = attn_embed.row(rel);
-            for (row, (&s, &d)) in group.srcs.iter().zip(&group.dsts).enumerate() {
-                let (s, d) = (s as usize, d as usize);
-                scratch.h_src[row * in_dim..(row + 1) * in_dim]
-                    .copy_from_slice(&h[s * in_dim..(s + 1) * in_dim]);
-                let cat = &mut scratch.att_in[row * att_width..(row + 1) * att_width];
-                cat[..in_dim].copy_from_slice(&h[s * in_dim..(s + 1) * in_dim]);
-                cat[in_dim..2 * in_dim].copy_from_slice(&h[d * in_dim..(d + 1) * in_dim]);
-                cat[2 * in_dim..].copy_from_slice(q_r);
-            }
-
-            scratch.msgs.resize(n_e * out_dim, 0.0);
-            kernels::matmul(&scratch.h_src, w_r, &mut scratch.msgs, n_e, in_dim, out_dim);
-            scratch.att.resize(n_e, 0.0);
-            kernels::matmul(&scratch.att_in, w_attn, &mut scratch.att, n_e, att_width, 1);
+            // Attention over [h_s ⊕ h_t ⊕ q_r] and the scaled messages
+            // W_r · h_s, across all participating segments at once, both
+            // reading h, q_r and W_r in place.
+            scratch.att.resize(group.srcs.len(), 0.0);
+            kernels::indexed_concat_dot(
+                h,
+                in_dim,
+                &group.srcs,
+                &group.dsts,
+                attn_embed.row(rel),
+                w_attn,
+                &mut scratch.att,
+            );
             for a in &mut scratch.att {
                 *a = 1.0 / (1.0 + (-*a).exp());
             }
-
-            for (row, &d) in group.dsts.iter().enumerate() {
-                let d = d as usize;
-                let a = scratch.att[row];
-                let dst_row = &mut scratch.agg[d * out_dim..(d + 1) * out_dim];
-                for (x, &m) in
-                    dst_row.iter_mut().zip(&scratch.msgs[row * out_dim..(row + 1) * out_dim])
-                {
-                    *x += m * a;
-                }
-            }
+            kernels::indexed_matmul_scale_scatter(
+                h,
+                &group.srcs,
+                &group.dsts,
+                w_r,
+                &scratch.att,
+                &mut scratch.agg,
+                in_dim,
+                out_dim,
+            );
         }
 
         for (i, sg) in batch.graphs().iter().enumerate() {
@@ -430,16 +424,13 @@ enum MountedRelWeights {
     Bases { coeffs: Var, bases: Var },
 }
 
-/// Reusable buffers for [`RgcnLayer::forward_inference_batched`]: every
-/// per-relation intermediate (gathered sources, attention input,
-/// messages, logits and the composed basis weight) plus the layer's
-/// scatter target. Buffers grow to the high-water mark and are then
-/// reused — zero allocations in the steady state.
+/// Reusable buffers for [`RgcnLayer::forward_inference_batched`]: the
+/// per-relation attention weights and composed basis weight, plus the
+/// layer's scatter target. Edge rows are read in place, never copied.
+/// Buffers grow to the high-water mark and are then reused — zero
+/// allocations in the steady state.
 #[derive(Debug, Default, Clone)]
 pub struct BatchedLayerScratch {
-    h_src: Vec<f32>,
-    att_in: Vec<f32>,
-    msgs: Vec<f32>,
     att: Vec<f32>,
     agg: Vec<f32>,
     w_r: Vec<f32>,

@@ -359,4 +359,166 @@ mod tests {
         assert_eq!(RankRequest::parse("not json", &v).unwrap_err().status, 400);
         assert_eq!(RankRequest::parse("[1,2]", &v).unwrap_err().status, 400);
     }
+
+    // ---- fuzzing: hostile bodies decode to Ok or a 400, never a panic ----
+
+    use proptest::prelude::*;
+
+    /// One valid body per request form, with every optional field set.
+    const VALID: [&str; 3] = [
+        r#"{"rank": {"task": "tail", "head": "a", "rel": "likes", "tail": "b", "candidates": 50, "seed": 7, "index": 3}}"#,
+        r#"{"score": {"triples": [["a", "likes", "b"], ["c", "likes", "a"]]}}"#,
+        r#"{"rank_tails": {"head": "b", "rel": "likes", "k": 3}}"#,
+    ];
+
+    /// Characters a mutation splices in: JSON structure, number syntax,
+    /// escapes, whitespace, a vocabulary letter and non-ASCII text.
+    const ALPHABET: &str = "{}[]\":,\\u019-+.eE \nantfé\u{1F600}\0";
+
+    fn alphabet_char() -> impl Strategy<Value = char> {
+        let chars: Vec<char> = ALPHABET.chars().collect();
+        (0..chars.len()).prop_map(move |i| chars[i])
+    }
+
+    /// One edit of a valid body: `(kind, at, len, inserted text)`. Kinds:
+    /// delete `len` chars, insert the text, overwrite with it, truncate,
+    /// or repeat a slice.
+    fn edit() -> impl Strategy<Value = (u8, usize, usize, Vec<char>)> {
+        (0u8..5, any::<usize>(), 0usize..12, prop::collection::vec(alphabet_char(), 1..6))
+    }
+
+    fn apply(body: &mut Vec<char>, (kind, at, len, text): &(u8, usize, usize, Vec<char>)) {
+        let at = at % (body.len() + 1);
+        let end = (at + len).min(body.len());
+        match kind {
+            0 => drop(body.drain(at..end)),
+            1 => drop(body.splice(at..at, text.iter().copied())),
+            2 => drop(body.splice(at..end, text.iter().copied())),
+            3 => body.truncate(at),
+            _ => {
+                let slice: Vec<char> = body[at..end].to_vec();
+                body.splice(at..at, slice);
+            }
+        }
+    }
+
+    /// Values a structural edit puts in place of a node: every JSON type,
+    /// integers at both ends of their widths, a huge float and strings
+    /// inside and outside the vocabulary.
+    fn replacement(i: usize) -> Value {
+        match i % 10 {
+            0 => Value::Null,
+            1 => Value::Bool(true),
+            2 => Value::Num(Number::I(-1)),
+            3 => Value::Num(Number::U(u64::MAX)),
+            4 => Value::Num(Number::F(1e300)),
+            5 => Value::Num(Number::U(0)),
+            6 => Value::Str("a".to_owned()),
+            7 => Value::Str(String::new()),
+            8 => Value::Array(Vec::new()),
+            _ => Value::Object(Vec::new()),
+        }
+    }
+
+    /// Applies one structural edit to the node at pre-order position
+    /// `*at` (counting down): drop its last child, duplicate its first
+    /// child, wrap it in an array, or replace it. Returns whether the edit
+    /// happened.
+    fn edit_node(v: &mut Value, at: &mut usize, kind: u8, pick: usize) -> bool {
+        if *at == 0 {
+            match (kind, &mut *v) {
+                (0, Value::Array(items)) => drop(items.pop()),
+                (0, Value::Object(pairs)) => drop(pairs.pop()),
+                (1, Value::Array(items)) if !items.is_empty() => items.push(items[0].clone()),
+                (1, Value::Object(pairs)) if !pairs.is_empty() => pairs.push(pairs[0].clone()),
+                (2, _) => *v = Value::Array(vec![v.clone()]),
+                _ => *v = replacement(pick),
+            }
+            return true;
+        }
+        *at -= 1;
+        match v {
+            Value::Array(items) => items.iter_mut().any(|c| edit_node(c, at, kind, pick)),
+            Value::Object(pairs) => pairs.iter_mut().any(|(_, c)| edit_node(c, at, kind, pick)),
+            _ => false,
+        }
+    }
+
+    fn decodes_or_400(body: &str) -> Result<(), TestCaseError> {
+        match RankRequest::parse(body, &vocab()) {
+            Ok(_) => Ok(()),
+            Err(e) => {
+                prop_assert_eq!(e.status, 400, "{:?} for body {:?}", e.message, body);
+                Ok(())
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn arbitrary_strings_decode_or_400(
+            chars in prop::collection::vec(alphabet_char(), 0..64),
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            decodes_or_400(&chars.into_iter().collect::<String>())?;
+            decodes_or_400(&String::from_utf8_lossy(&bytes))?;
+        }
+
+        #[test]
+        fn mutated_valid_bodies_decode_or_400(
+            form in 0..VALID.len(),
+            edits in prop::collection::vec(edit(), 1..5),
+        ) {
+            let mut body: Vec<char> = VALID[form].chars().collect();
+            for e in &edits {
+                apply(&mut body, e);
+            }
+            decodes_or_400(&body.into_iter().collect::<String>())?;
+        }
+
+        #[test]
+        fn structurally_edited_valid_bodies_decode_or_400(
+            form in 0..VALID.len(),
+            edits in prop::collection::vec((any::<usize>(), 0u8..4, any::<usize>()), 1..4),
+        ) {
+            let mut value = serde_json::parse_value(VALID[form]).expect("valid body");
+            for (at, kind, pick) in edits {
+                edit_node(&mut value, &mut (at % 16), kind, pick);
+            }
+            decodes_or_400(&serde_json::to_string(&value).expect("values encode"))?;
+        }
+    }
+
+    /// Values the edits above are unlikely to produce: numbers past every
+    /// integer width, negative and fractional counts, wrong field types,
+    /// a zero `k`, and nesting as deep as the body cap allows.
+    #[test]
+    fn hostile_field_values_decode_or_400() {
+        let rank = |extra: &str| {
+            format!(
+                r#"{{"rank": {{"task": "tail", "head": "a", "rel": "likes", "tail": "b"{extra}}}}}"#
+            )
+        };
+        let bodies = [
+            rank(r#", "candidates": 18446744073709551616"#),
+            rank(r#", "candidates": -1"#),
+            rank(r#", "seed": 1.5"#),
+            rank(r#", "index": 1e400"#),
+            rank(r#", "index": "3""#),
+            r#"{"rank_tails": {"head": "b", "rel": "likes", "k": 0}}"#.to_owned(),
+            r#"{"score": {"triples": []}}"#.to_owned(),
+            r#"{"score": {"triples": [["a", "likes"]]}}"#.to_owned(),
+            r#"{"score": {"triples": [["a", 1, "b"]]}}"#.to_owned(),
+            r#"{"rank": {"task": "\ud800", "head": "a", "rel": "likes", "tail": "b"}}"#.to_owned(),
+            "[".repeat(crate::http::MAX_BODY_BYTES),
+            format!(r#"{{"score": {}"#, "{\"a\":".repeat(100_000)),
+        ];
+        for body in &bodies {
+            if let Err(e) = RankRequest::parse(body, &vocab()) {
+                assert_eq!(e.status, 400, "{} for {body:.80}", e.message);
+            }
+        }
+    }
 }

@@ -1,13 +1,13 @@
-//! Admission batching: a bounded queue feeding persistent scoring
+//! The admission queue: a bounded queue feeding persistent scoring
 //! workers.
 //!
 //! Connection threads never score; they enqueue a [`Job`] and block on
-//! its reply channel. A fixed pool of worker threads drains the queue
-//! in admission batches: a worker takes whatever is queued (up to
-//! `max_batch`), waiting up to `max_wait` after the first job arrives
-//! to let a burst coalesce. When the queue is at `queue_depth` the
-//! submit is refused and the connection answers `429` — overload sheds
-//! at the door instead of growing an unbounded backlog.
+//! its reply channel. A fixed pool of worker threads pops the queue one
+//! job at a time: a free worker takes the next job as soon as it is
+//! queued, so two requests in flight run on two workers rather than one
+//! after the other. When the queue is at `queue_depth` the submit is
+//! refused and the connection answers `429` — overload sheds at the
+//! door instead of growing an unbounded backlog.
 //!
 //! # Why workers pin ambient parallelism to 1
 //!
@@ -19,13 +19,14 @@
 //! long-lived daemon. Cross-request parallelism comes from running
 //! several workers, not from intra-request fan-out.
 //!
-//! # Determinism under batching
+//! # Determinism under concurrency
 //!
-//! Batch composition is timing-dependent, but jobs are scored
-//! independently — a job's response is a pure function of its request
-//! and the model generation, never of its batch neighbours. So any
-//! interleaving of concurrent clients yields byte-identical responses
-//! (the concurrency integration test pins this).
+//! Which worker takes a job, and when, is timing-dependent, but jobs
+//! are scored independently — a job's response is a pure function of
+//! its request and the model generation, never of what else is in
+//! flight. So any interleaving of concurrent clients yields
+//! byte-identical responses (the concurrency integration test pins
+//! this).
 
 use crate::api::{self, ApiError, RankRequest};
 use crate::engine::RankEngine;
@@ -33,7 +34,7 @@ use serde::Value;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One queued request plus the channel its connection thread waits on.
 pub(crate) struct Job {
@@ -69,8 +70,6 @@ struct Shared {
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     stop: AtomicBool,
-    max_batch: usize,
-    max_wait: Duration,
     queue_depth: usize,
     /// Requests slower than this end-to-end (queue + scoring) get a
     /// warn-level log with the per-phase breakdown and trace id.
@@ -90,8 +89,6 @@ impl Batcher {
     pub fn start(
         engine: Arc<RankEngine>,
         workers: usize,
-        max_batch: usize,
-        max_wait: Duration,
         queue_depth: usize,
         slow_ms: u64,
     ) -> Batcher {
@@ -99,8 +96,6 @@ impl Batcher {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             stop: AtomicBool::new(false),
-            max_batch: max_batch.max(1),
-            max_wait,
             queue_depth,
             slow_ms,
             engine,
@@ -145,52 +140,30 @@ impl Batcher {
     }
 }
 
-/// Blocks for the next admission batch. Empty result = stopped and
-/// fully drained.
-fn next_batch(shared: &Shared) -> Vec<Job> {
+/// Blocks for the next queued job. `None` = stopped and fully drained.
+fn next_job(shared: &Shared) -> Option<Job> {
     let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-    while queue.is_empty() {
+    loop {
+        if let Some(job) = queue.pop_front() {
+            crate::serve_obs().queue_depth.set(queue.len() as f64);
+            return Some(job);
+        }
         if shared.stop.load(Ordering::Acquire) {
-            return Vec::new();
+            return None;
         }
         queue = shared.available.wait(queue).unwrap_or_else(PoisonError::into_inner);
     }
-    // First job in hand: linger up to max_wait for a burst to coalesce,
-    // but never once the batch is full or shutdown has begun.
-    if shared.max_wait > Duration::ZERO {
-        let deadline = Instant::now() + shared.max_wait;
-        while queue.len() < shared.max_batch && !shared.stop.load(Ordering::Acquire) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (q, _) = shared
-                .available
-                .wait_timeout(queue, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            queue = q;
-        }
-    }
-    let take = queue.len().min(shared.max_batch);
-    let batch: Vec<Job> = queue.drain(..take).collect();
-    crate::serve_obs().queue_depth.set(queue.len() as f64);
-    batch
 }
 
 /// One worker: pin ambient rayon parallelism to 1 (see module docs),
-/// then score admission batches until stopped and drained.
+/// then score jobs until stopped and drained.
 fn worker_loop(shared: &Shared) {
     let Ok(pool) = rayon::ThreadPoolBuilder::new().num_threads(1).build() else {
         return;
     };
-    pool.install(|| loop {
-        let batch = next_batch(shared);
-        if batch.is_empty() {
-            return;
-        }
-        let obs = crate::serve_obs();
-        obs.batch_size.observe(batch.len() as u64);
-        for job in batch {
+    let obs = crate::serve_obs();
+    pool.install(|| {
+        while let Some(job) = next_job(shared) {
             // Re-install the request's trace id so the scoring spans on
             // this worker thread nest under the request's trace.
             dekg_obs::set_current_trace(job.trace_id);
@@ -214,7 +187,7 @@ fn worker_loop(shared: &Shared) {
             // A dead receiver just means the client gave up; scoring
             // already happened, nothing to unwind.
             let _ = job.reply.send(JobOutcome { result, queue_us, score_us, generation });
+            dekg_obs::set_current_trace(0);
         }
-        dekg_obs::set_current_trace(0);
     });
 }

@@ -29,8 +29,8 @@
 //!   path, hence the identical `f64` rank `dekg evaluate` computes —
 //!   byte-for-byte, since JSON floats render deterministically.
 //! * **Concurrency-invariance** — jobs are scored independently of
-//!   their admission-batch neighbours, so any interleaving of
-//!   concurrent clients produces byte-identical responses.
+//!   whatever else is in flight, so any interleaving of concurrent
+//!   clients produces byte-identical responses.
 //! * **Hot-swap atomicity** — the model lives behind
 //!   `RwLock<Arc<ModelGeneration>>`; a request clones the `Arc` once
 //!   and keeps its generation for the whole request, while
@@ -95,8 +95,6 @@ pub(crate) struct ServeObs {
     /// Per-request scoring latency in microseconds (wall-clock:
     /// outside the determinism contract).
     pub latency_us: Histogram,
-    /// Admission batch sizes actually drained by workers.
-    pub batch_size: Histogram,
     /// Requests admitted and not yet answered
     /// (`dekg_serve_inflight_requests`).
     pub inflight: Gauge,
@@ -134,7 +132,6 @@ pub(crate) fn serve_obs() -> &'static ServeObs {
                 "dekg_serve_request_latency_us",
                 &[100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 1_000_000],
             ),
-            batch_size: reg.histogram("dekg_serve_batch_size", &[1, 2, 4, 8, 16, 32]),
             inflight: reg.gauge("dekg_serve_inflight_requests"),
             queue_depth: reg.gauge("dekg_serve_queue_depth"),
             inflight_count: AtomicU64::new(0),
@@ -153,11 +150,6 @@ pub struct ServeConfig {
     /// capped at 4 — serving is latency-bound, not throughput-bound,
     /// and each worker keeps its own warm workspace.
     pub workers: usize,
-    /// Max jobs a worker drains per admission batch.
-    pub max_batch: usize,
-    /// How long a worker lingers after the first job of a batch for a
-    /// burst to coalesce, in milliseconds.
-    pub max_wait_ms: u64,
     /// Admission queue bound; a full queue sheds with `429`.
     pub queue_depth: usize,
     /// Slow-request threshold in milliseconds: a request whose
@@ -168,14 +160,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            workers: 0,
-            max_batch: 8,
-            max_wait_ms: 1,
-            queue_depth: 128,
-            slow_ms: 250,
-        }
+        ServeConfig { addr: "127.0.0.1:0".to_owned(), workers: 0, queue_depth: 128, slow_ms: 250 }
     }
 }
 
@@ -256,8 +241,6 @@ impl Server {
         let batcher = Batcher::start(
             Arc::clone(&engine),
             cfg.effective_workers(),
-            cfg.max_batch,
-            Duration::from_millis(cfg.max_wait_ms),
             cfg.queue_depth,
             cfg.slow_ms,
         );
@@ -265,9 +248,8 @@ impl Server {
         *self.state.batcher.lock().unwrap_or_else(PoisonError::into_inner) = Some(batcher);
         self.state.ready.store(true, Ordering::Release);
         dekg_obs::log_info!(
-            "dekg-serve ready: {} workers, max batch {}, queue depth {}",
+            "dekg-serve ready: {} workers, queue depth {}",
             cfg.effective_workers(),
-            cfg.max_batch,
             cfg.queue_depth
         );
     }

@@ -3,8 +3,8 @@
 //! orders must receive responses byte-identical to a serial pass.
 //!
 //! This is the serving face of the workspace's bitwise-determinism
-//! contract: admission batches form timing-dependently and several
-//! warm workers score concurrently, yet a response is a pure function
+//! contract: jobs reach workers timing-dependently and several warm
+//! workers score concurrently, yet a response is a pure function
 //! of its request and the model generation. `scripts/check.sh` runs
 //! this suite under `DEKG_SHUFFLE_SCHEDULE=1`, so the rayon shim's
 //! schedule perturbation is active on top of real client concurrency.
@@ -43,7 +43,7 @@ fn query_bodies(fx: &common::Fixture, links: usize, candidates: usize, seed: u64
 #[test]
 fn interleaved_clients_match_the_serial_pass_byte_for_byte() {
     let fx = fixture("concurrent", 5);
-    let cfg = ServeConfig { workers: 4, max_batch: 4, max_wait_ms: 1, ..ServeConfig::default() };
+    let cfg = ServeConfig { workers: 4, ..ServeConfig::default() };
     let (server, addr) = serve(&fx, cfg);
     let bodies = query_bodies(&fx, 6, 15, 3);
 
@@ -58,7 +58,7 @@ fn interleaved_clients_match_the_serial_pass_byte_for_byte() {
         .collect();
 
     // Parallel pass: each client walks its own shuffled permutation,
-    // so queries interleave arbitrarily across admission batches.
+    // so queries interleave arbitrarily across the workers.
     std::thread::scope(|scope| {
         let clients: Vec<_> = (0..6u64)
             .map(|client| {

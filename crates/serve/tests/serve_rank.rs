@@ -175,9 +175,7 @@ fn metrics_endpoint_exposes_serve_series() {
     assert_eq!(rank_call(&addr, &tail_rank_body(&fx, 0, 10, 0, 0)).0, 200);
     let (status, metrics) = http_call(&addr, "GET", "/metrics", None).unwrap();
     assert_eq!(status, 200);
-    for series in
-        ["dekg_serve_requests_total", "dekg_serve_request_latency_us", "dekg_serve_batch_size"]
-    {
+    for series in ["dekg_serve_requests_total", "dekg_serve_request_latency_us"] {
         assert!(metrics.contains(series), "missing {series} in:\n{metrics}");
     }
     stop(server);

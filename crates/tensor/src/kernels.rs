@@ -46,6 +46,22 @@
 //! lane yields is not part of the contract.
 //!
 //! [`matmul_a_bt_acc`] has its own fixed 8-lane order, documented there.
+//!
+//! # Indexed reads
+//!
+//! The batched R-GCN layer reads its per-edge rows in place instead of
+//! gathering them first. [`indexed_concat_dot`] computes the attention
+//! logits `[h[src] ⊕ h[dst] ⊕ q] · w` of a relation group, and
+//! [`indexed_matmul_scale_scatter`] its messages `h[src] · W`, each scaled
+//! by its edge's weight and added into the destination row. Both keep the
+//! matmul contract over the *virtual* row they never write out: the
+//! logit is [`matmul`]'s `n == 1` sum over `h[src]`, then `h[dst]`, then
+//! `q`, in ascending `p`; a message element is its `[f32; 32]` register
+//! row's sum over `h[src]` in ascending `p`; and every zero left factor is
+//! skipped. The scatter then adds `m·a` into each destination row in edge
+//! order. So each kernel has the bits of the gather → [`matmul`] → scale →
+//! scatter composition it replaces, element for element, and the tests
+//! below pin that.
 
 /// `out[i] = a[i] + b[i]`.
 pub fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -370,6 +386,132 @@ fn a_bt_lanes(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
     }
 }
 
+/// Attention logits over indexed rows: `out[e] = x_e · w`, where the
+/// virtual row `x_e = h[srcs[e]] ⊕ h[dsts[e]] ⊕ q` is read in place, `h`
+/// being row-major with `k` columns and `w` holding `2·k + q.len()`
+/// entries.
+///
+/// Bit-identical to gathering every `x_e` into an `[E, 2k + q.len()]`
+/// matrix and calling [`matmul`] with `n == 1` on it: eight edges at a
+/// time run as eight register chains, the rest one scalar chain each,
+/// every chain `+0.0` then the terms in ascending `p` with zero left
+/// factors skipped (module docs).
+pub fn indexed_concat_dot(
+    h: &[f32],
+    k: usize,
+    srcs: &[u32],
+    dsts: &[u32],
+    q: &[f32],
+    w: &[f32],
+    out: &mut [f32],
+) {
+    debug_assert_eq!(srcs.len(), dsts.len(), "indexed_concat_dot: srcs and dsts differ");
+    debug_assert_eq!(out.len(), srcs.len(), "indexed_concat_dot: one logit per edge");
+    debug_assert_eq!(w.len(), 2 * k + q.len(), "indexed_concat_dot: w is not the row width");
+    let (w_src, rest) = w.split_at(k);
+    let (w_dst, w_q) = rest.split_at(k);
+    let row = |i: u32| &h[i as usize * k..(i as usize + 1) * k];
+    let mut out_groups = out.chunks_exact_mut(CHAINS);
+    let mut src_groups = srcs.chunks_exact(CHAINS);
+    let mut dst_groups = dsts.chunks_exact(CHAINS);
+    for ((o8, s8), d8) in (&mut out_groups).zip(&mut src_groups).zip(&mut dst_groups) {
+        let mut acc = [0.0f32; CHAINS];
+        for (ids, w_part) in [(s8, w_src), (d8, w_dst)] {
+            let rows: [&[f32]; CHAINS] = std::array::from_fn(|r| row(ids[r]));
+            for (p, &y) in w_part.iter().enumerate() {
+                for (s, r) in acc.iter_mut().zip(&rows) {
+                    let x = r[p];
+                    *s += if x == 0.0 { 0.0 } else { x * y };
+                }
+            }
+        }
+        for (&x, &y) in q.iter().zip(w_q) {
+            let t = if x == 0.0 { 0.0 } else { x * y };
+            for s in &mut acc {
+                *s += t;
+            }
+        }
+        o8.copy_from_slice(&acc);
+    }
+    let tails = src_groups.remainder().iter().zip(dst_groups.remainder());
+    for (o, (&s, &d)) in out_groups.into_remainder().iter_mut().zip(tails) {
+        let mut acc = 0.0f32;
+        for (part, w_part) in [(row(s), w_src), (row(d), w_dst), (q, w_q)] {
+            for (&x, &y) in part.iter().zip(w_part) {
+                if x != 0.0 {
+                    acc += x * y;
+                }
+            }
+        }
+        *o = acc;
+    }
+}
+
+/// Scaled message scatter over indexed rows: for each edge `e` in order,
+/// `agg[dsts[e]] += (h[srcs[e]] · w) * scale[e]`, where `h` is row-major
+/// with `k` columns, `w` is `[k, n]` and `agg` has `n` columns.
+///
+/// Each message is built 32 columns at a time in a register row, `+0.0`
+/// then `h[src, p] · w[p, ·]` in ascending `p` with zero left factors
+/// skipped, and scaled and added straight into its destination row. So
+/// every `agg` element gets the bits of gathering the sources, one
+/// [`matmul`], scaling each message row and a scatter-add in edge order
+/// (module docs), without the `[E, k]` or `[E, n]` copies. A width that is
+/// not a multiple of 32 ends in one narrower block on the same stack row.
+#[allow(clippy::too_many_arguments)] // one operand per factor of the composition it fuses
+pub fn indexed_matmul_scale_scatter(
+    h: &[f32],
+    srcs: &[u32],
+    dsts: &[u32],
+    w: &[f32],
+    scale: &[f32],
+    agg: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    debug_assert_eq!(srcs.len(), dsts.len(), "indexed_matmul_scale_scatter: srcs and dsts differ");
+    debug_assert_eq!(scale.len(), srcs.len(), "indexed_matmul_scale_scatter: one scale per edge");
+    debug_assert_eq!(w.len(), k * n, "indexed_matmul_scale_scatter: w is not [{k}, {n}]");
+    if n == 0 {
+        return; // zero-width messages add nothing
+    }
+    debug_assert_eq!(agg.len() % n, 0, "indexed_matmul_scale_scatter: agg is not [_, {n}]");
+    let full = n - n % BLOCK;
+    for ((&s, &d), &a) in srcs.iter().zip(dsts).zip(scale) {
+        let h_row = &h[s as usize * k..(s as usize + 1) * k];
+        let dst_row = &mut agg[d as usize * n..(d as usize + 1) * n];
+        for (j, dst_blk) in dst_row[..full].chunks_exact_mut(BLOCK).enumerate() {
+            let mut acc = [0.0f32; BLOCK];
+            for (&x, w_row) in h_row.iter().zip(w.chunks_exact(n)) {
+                if x == 0.0 {
+                    continue;
+                }
+                for (m, &y) in acc.iter_mut().zip(&w_row[j * BLOCK..(j + 1) * BLOCK]) {
+                    *m += x * y;
+                }
+            }
+            for (o, &m) in dst_blk.iter_mut().zip(&acc) {
+                *o += m * a;
+            }
+        }
+        if full < n {
+            let mut acc = [0.0f32; BLOCK];
+            let acc = &mut acc[..n - full];
+            for (&x, w_row) in h_row.iter().zip(w.chunks_exact(n)) {
+                if x == 0.0 {
+                    continue;
+                }
+                for (m, &y) in acc.iter_mut().zip(&w_row[full..]) {
+                    *m += x * y;
+                }
+            }
+            for (o, &m) in dst_row[full..].iter_mut().zip(acc.iter()) {
+                *o += m * a;
+            }
+        }
+    }
+}
+
 /// Transposes a row-major `[m, n]` matrix into `out` as `[n, m]`.
 pub fn transpose(a: &[f32], out: &mut [f32], m: usize, n: usize) {
     debug_assert_eq!(a.len(), m * n, "transpose: input is not [{m}, {n}]");
@@ -684,6 +826,155 @@ mod tests {
             let mut c = vec![f32::NAN; m * n];
             matmul(&a, &b, &mut c, m, k, n);
             assert!(c.iter().all(|x| x.to_bits() == 0), "n {n}: {c:?}");
+        }
+    }
+
+    // ---- indexed kernels against the gather → matmul → scale → scatter composition ----
+
+    /// Random edge lists over `rows` packed nodes, destinations repeating
+    /// so the scatter order matters.
+    fn edges(n_e: usize, rows: usize, rng: &mut ChaCha8Rng) -> (Vec<u32>, Vec<u32>) {
+        let pick = |rng: &mut ChaCha8Rng| rng.gen_range(0..rows as u32);
+        let srcs = (0..n_e).map(|_| pick(rng)).collect();
+        let dsts = (0..n_e).map(|_| pick(rng) / 2).collect();
+        (srcs, dsts)
+    }
+
+    fn gather(h: &[f32], k: usize, ids: &[u32]) -> Vec<f32> {
+        ids.iter().flat_map(|&i| &h[i as usize * k..(i as usize + 1) * k]).copied().collect()
+    }
+
+    /// The logits the way the layer used to compute them: each row
+    /// `h[src] ⊕ h[dst] ⊕ q` written out, then one `n = 1` matmul.
+    fn concat_dot_reference(
+        h: &[f32],
+        k: usize,
+        (srcs, dsts): (&[u32], &[u32]),
+        q: &[f32],
+        w: &[f32],
+    ) -> Vec<f32> {
+        let width = 2 * k + q.len();
+        let (hs, hd) = (gather(h, k, srcs), gather(h, k, dsts));
+        let rows: Vec<f32> = hs
+            .chunks_exact(k)
+            .zip(hd.chunks_exact(k))
+            .flat_map(|(s, d)| s.iter().chain(d).chain(q).copied())
+            .collect();
+        let mut out = vec![f32::NAN; srcs.len()];
+        matmul(&rows, w, &mut out, srcs.len(), width, 1);
+        out
+    }
+
+    /// The messages the way the layer used to compute them: gather the
+    /// sources, one matmul, then scale each row and scatter it in order.
+    fn scatter_reference(
+        h: &[f32],
+        (srcs, dsts): (&[u32], &[u32]),
+        w: &[f32],
+        scale: &[f32],
+        agg: &mut [f32],
+        (k, n): (usize, usize),
+    ) {
+        let sources = gather(h, k, srcs);
+        let mut messages = vec![f32::NAN; srcs.len() * n];
+        matmul(&sources, w, &mut messages, srcs.len(), k, n);
+        for (e, &d) in dsts.iter().enumerate() {
+            let dst_row = &mut agg[d as usize * n..(d as usize + 1) * n];
+            for (x, &m) in dst_row.iter_mut().zip(&messages[e * n..(e + 1) * n]) {
+                *x += m * scale[e];
+            }
+        }
+    }
+
+    /// Layer inputs: one-hot-like rows at the layer-0 label width, ReLU-
+    /// like rows (exact `±0.0` among them) at the hidden width.
+    fn layer_input(rows: usize, k: usize, rng: &mut ChaCha8Rng) -> Vec<f32> {
+        if k == 32 {
+            return relu_like(rows * k, rng);
+        }
+        let mut h = vec![0.0; rows * k];
+        for (i, row) in h.chunks_exact_mut(k).enumerate() {
+            row[rng.gen_range(0..k / 2)] = 1.0;
+            row[k / 2 + rng.gen_range(0..k / 2)] = if i % 5 == 0 { 0.0 } else { 1.0 };
+            if i % 7 == 0 {
+                row[0] = -0.0;
+            }
+        }
+        h
+    }
+
+    /// Both indexed kernels equal the composition bit for bit, for edge
+    /// counts on and off the 8-edge groups, the layer-0 label width (6)
+    /// and the hidden width (32) as `k`, and message widths of 16
+    /// (`quick()`), 32, 33 and 64.
+    #[test]
+    fn indexed_kernels_match_the_gather_composition_bitwise() {
+        let mut rng = ChaCha8Rng::seed_from_u64(20);
+        let rows = 40;
+        for n_e in [0, 1, 7, 8, 9, 17, 64, 203] {
+            for k in [6, 32] {
+                let h = layer_input(rows, k, &mut rng);
+                let (srcs, dsts) = edges(n_e, rows, &mut rng);
+                let mut q = signed(8, &mut rng);
+                q[3] = 0.0;
+                let w_att = signed(2 * k + q.len(), &mut rng);
+                let want = concat_dot_reference(&h, k, (&srcs, &dsts), &q, &w_att);
+                let mut got = vec![f32::NAN; n_e];
+                indexed_concat_dot(&h, k, &srcs, &dsts, &q, &w_att, &mut got);
+                assert_eq!(bits(&got), bits(&want), "logits n_e {n_e} k {k}");
+
+                let scale: Vec<f32> = got.iter().map(|x| 1.0 / (1.0 + (-x).exp())).collect();
+                for n in [16, 32, 33, 64] {
+                    let w = signed(k * n, &mut rng);
+                    let agg0 = signed(rows * n, &mut rng);
+                    let mut want = agg0.clone();
+                    scatter_reference(&h, (&srcs, &dsts), &w, &scale, &mut want, (k, n));
+                    let mut got = agg0;
+                    indexed_matmul_scale_scatter(&h, &srcs, &dsts, &w, &scale, &mut got, k, n);
+                    assert_eq!(bits(&got), bits(&want), "messages n_e {n_e} k {k} n {n}");
+                }
+            }
+        }
+    }
+
+    /// `±Inf` and `NaN` in the weights meet only zero left factors
+    /// (`+0.0` and `−0.0` in `h`, a zero in `q`) and contribute nothing:
+    /// every output stays finite and still equals the composition.
+    #[test]
+    fn indexed_kernels_skip_zero_left_factors_against_non_finite_weights() {
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let (rows, k, n_e) = (24, 32, 19);
+        let mut h = relu_like(rows * k, &mut rng);
+        for (i, row) in h.chunks_exact_mut(k).enumerate() {
+            row[5] = if i % 2 == 0 { 0.0 } else { -0.0 };
+            row[k - 1] = -0.0;
+        }
+        let (srcs, dsts) = edges(n_e, rows, &mut rng);
+        let mut q = signed(8, &mut rng);
+        q[2] = -0.0;
+        let mut w_att = signed(2 * k + q.len(), &mut rng);
+        w_att[5] = f32::INFINITY;
+        w_att[k + 5] = f32::NEG_INFINITY;
+        w_att[2 * k - 1] = f32::NAN;
+        w_att[2 * k + 2] = f32::NAN;
+        let want = concat_dot_reference(&h, k, (&srcs, &dsts), &q, &w_att);
+        let mut got = vec![f32::NAN; n_e];
+        indexed_concat_dot(&h, k, &srcs, &dsts, &q, &w_att, &mut got);
+        assert!(got.iter().all(|x| x.is_finite()), "logits: {got:?}");
+        assert_eq!(bits(&got), bits(&want), "logits");
+
+        for n in [16, 32] {
+            let mut w = signed(k * n, &mut rng);
+            w[5 * n..6 * n].fill(f32::INFINITY);
+            w[5 * n + 1] = f32::NEG_INFINITY;
+            w[(k - 1) * n..].fill(f32::NAN);
+            let scale = signed(n_e, &mut rng);
+            let mut want = vec![0.0; rows * n];
+            scatter_reference(&h, (&srcs, &dsts), &w, &scale, &mut want, (k, n));
+            let mut got = vec![0.0; rows * n];
+            indexed_matmul_scale_scatter(&h, &srcs, &dsts, &w, &scale, &mut got, k, n);
+            assert!(got.iter().all(|x| x.is_finite()), "messages n {n}: {got:?}");
+            assert_eq!(bits(&got), bits(&want), "messages n {n}");
         }
     }
 

@@ -168,14 +168,37 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 
 // ---- decoding ----
 
+/// Deepest array/object nesting the parser accepts (upstream
+/// `serde_json`'s recursion limit). The parser recurses once per level,
+/// so without a cap a body of a million `[` overflows the stack and
+/// aborts the process instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
+        Parser { bytes: s.as_bytes(), pos: 0, depth: 0 }
+    }
+
+    /// Parses a nested array or object one level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn skip_ws(&mut self) {
@@ -226,8 +249,8 @@ impl<'a> Parser<'a> {
                 Ok(Value::Bool(false))
             }
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             Some(b) => {
                 Err(Error::new(format!("unexpected byte `{}` at {}", char::from(b), self.pos)))
@@ -398,6 +421,16 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_value(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse_value(&deep).unwrap_err().to_string().contains("nesting deeper"));
+        // Far past the cap: an error, not a stack overflow.
+        assert!(parse_value(&"[{\"a\":".repeat(1 << 20)).is_err());
+    }
 
     #[test]
     fn roundtrip_vec() {
