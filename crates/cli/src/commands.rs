@@ -335,7 +335,7 @@ fn run_grad_checks(dataset: &DekgDataset, seed: u64) -> Result<(), Box<dyn std::
     Ok(())
 }
 
-/// `dekg train` — trains DEKG-ILP and writes a checkpoint pair.
+/// `dekg train` — trains DEKG-ILP and writes its checkpoint file.
 pub fn train(flags: &Flags) -> CliResult {
     obs_init(flags)?;
     // With --check, load unchecked so broken invariants surface as
@@ -361,7 +361,7 @@ pub fn train(flags: &Flags) -> CliResult {
 
     let threads: usize = flags.parse_or("threads", 0)?;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut model = DekgIlp::new(cfg.clone(), &dataset, &mut rng);
+    let mut model = DekgIlp::new(cfg, &dataset, &mut rng);
     dekg_obs::log_info!(
         "training DEKG-ILP on {} ({} triples, {} relations, {} thread(s))…",
         dataset.name,
@@ -386,15 +386,11 @@ pub fn train(flags: &Flags) -> CliResult {
     );
 
     model.save_checkpoint(ckpt)?;
-    dekg_core::write_file_atomic(
-        format!("{ckpt}.json"),
-        serde_json::to_string_pretty(&cfg)?.as_bytes(),
-    )?;
-    dekg_obs::log_info!("checkpoint written to {ckpt} (+ {ckpt}.json)");
+    dekg_obs::log_info!("checkpoint written to {ckpt}");
     obs_finish(flags)
 }
 
-/// Rebuilds a model from a checkpoint pair — the same
+/// Rebuilds a model from its checkpoint file — the same
 /// [`DekgIlp::restore`] path `dekg serve` loads through, so CLI
 /// evaluation and daemon serving score the identical model.
 fn restore(flags: &Flags, dataset: &DekgDataset) -> Result<DekgIlp, Box<dyn std::error::Error>> {

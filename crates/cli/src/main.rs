@@ -16,9 +16,9 @@
 //!
 //! Datasets are GraIL-format directories (`train.txt`, `valid.txt`,
 //! `emerging.txt`, `test_enclosing.txt`, `test_bridging.txt`).
-//! Checkpoints are a pair of files: `<ckpt>` (binary weights) and
-//! `<ckpt>.json` (the model configuration), so `evaluate`/`predict`
-//! can rebuild the exact architecture.
+//! A checkpoint is one file: the model configuration and the binary
+//! weights, written together, so `evaluate`/`predict`/`serve` rebuild
+//! the exact architecture from `--ckpt` alone.
 
 mod args;
 mod commands;

@@ -194,7 +194,8 @@ impl DekgIlpConfig {
     }
 
     /// The fallible form of [`DekgIlpConfig::validate`], for configs
-    /// read from outside the program (checkpoint sidecars).
+    /// read from outside the program (the config inside a checkpoint
+    /// file).
     ///
     /// # Errors
     /// A message naming the first out-of-range field.

@@ -194,16 +194,22 @@ impl DekgIlp {
         self.num_relations
     }
 
-    /// Writes the trained parameters to a binary checkpoint file,
-    /// crash-consistently (see [`write_file_atomic`]): a reader of
-    /// `path` sees the previous checkpoint or this one, never a torn mix.
+    /// Writes the model to one self-describing checkpoint file: its
+    /// [`DekgIlpConfig`] as JSON in the format's meta section, then its
+    /// parameters. The file lands through one atomic rename of a synced
+    /// temp file, so a reader of `path` sees the previous checkpoint or
+    /// this one, whole — never a torn mix, and never one save's weights
+    /// with another's config.
     pub fn save_checkpoint(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        write_file_atomic(path, &dekg_tensor::serialize::encode(&self.params))
+        let meta = serde_json::to_string(&self.cfg).map_err(std::io::Error::other)?;
+        let bytes = dekg_tensor::serialize::encode(&self.params, meta.as_bytes());
+        write_file_atomic(path.as_ref(), |file| std::io::Write::write_all(file, &bytes))
     }
 
     /// Restores parameters from a checkpoint produced by
     /// [`DekgIlp::save_checkpoint`] on a model with the same
-    /// configuration and relation space.
+    /// configuration and relation space. The file's own config is not
+    /// consulted: its parameter set must match this model's.
     ///
     /// Every parameter is checked before any is overwritten, so a
     /// failed load leaves the model unchanged.
@@ -217,14 +223,47 @@ impl DekgIlp {
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         let bytes = std::fs::read(path)?;
-        let restored = dekg_tensor::serialize::decode(&bytes)?;
+        let (restored, _meta) = dekg_tensor::serialize::decode(&bytes)?;
+        Ok(self.install(&restored)?)
+    }
+
+    /// Rebuilds a trained model from the checkpoint file at `path`,
+    /// written by [`DekgIlp::save_checkpoint`]. The file is read once;
+    /// from that one buffer come the [`DekgIlpConfig`] (its meta
+    /// section) and the weights, so the architecture and the parameters
+    /// always come from the same save. The init RNG seed is irrelevant
+    /// since every parameter is overwritten, so two restores of the
+    /// same file are bitwise-identical models. This is the one entry
+    /// point every consumer of a checkpoint shares (`dekg evaluate`,
+    /// `dekg predict`, the `dekg serve` daemon's hot-swap path).
+    ///
+    /// # Errors
+    /// IO failures, a corrupt checkpoint, a malformed or out-of-range
+    /// config, or weights that do not match the architecture the same
+    /// file's config describes.
+    pub fn restore(
+        path: &str,
+        dataset: &DekgDataset,
+    ) -> Result<DekgIlp, Box<dyn std::error::Error + Send + Sync>> {
+        let bytes = std::fs::read(path)?;
+        let (restored, meta) = dekg_tensor::serialize::decode(&bytes)?;
+        let cfg = config_from_meta(meta)?;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
+        let mut model = DekgIlp::new(cfg, dataset, &mut rng);
+        model.install(&restored)?;
+        Ok(model)
+    }
+
+    /// Overwrites every parameter with its namesake in `restored`,
+    /// after checking the whole set (count, names, shapes) so that a
+    /// mismatch changes nothing.
+    fn install(&mut self, restored: &ParamStore) -> Result<(), String> {
         if restored.len() != self.params.len() {
             return Err(format!(
                 "checkpoint has {} parameters, model expects {}",
                 restored.len(),
                 self.params.len()
-            )
-            .into());
+            ));
         }
         let mut ids = Vec::with_capacity(restored.len());
         for (_, name, value) in restored.iter() {
@@ -238,8 +277,7 @@ impl DekgIlp {
                     "shape mismatch for {name:?}: checkpoint {:?}, model {:?}",
                     value.shape().dims(),
                     expected.dims()
-                )
-                .into());
+                ));
             }
             ids.push(id);
         }
@@ -247,36 +285,6 @@ impl DekgIlp {
             *self.params.get_mut(id) = value.clone();
         }
         Ok(())
-    }
-
-    /// Rebuilds a trained model from a checkpoint pair: `<path>` (the
-    /// binary weights written by [`DekgIlp::save_checkpoint`]) plus
-    /// `<path>.json` (the [`DekgIlpConfig`] the training CLI writes
-    /// alongside). The architecture is reconstructed from the config —
-    /// the init RNG seed is irrelevant since every parameter is
-    /// overwritten by the checkpoint — so two restores of the same pair
-    /// are bitwise-identical models. This is the one entry point every
-    /// consumer of a checkpoint shares (`dekg evaluate`, `dekg predict`,
-    /// the `dekg serve` daemon's hot-swap path).
-    ///
-    /// # Errors
-    /// IO failures, a malformed or out-of-range config, a corrupt
-    /// checkpoint, or a weights file that does not match the
-    /// architecture its own `.json` describes.
-    pub fn restore(
-        path: &str,
-        dataset: &DekgDataset,
-    ) -> Result<DekgIlp, Box<dyn std::error::Error + Send + Sync>> {
-        let cfg_path = format!("{path}.json");
-        let cfg_text = std::fs::read_to_string(&cfg_path)
-            .map_err(|e| format!("reading model config {cfg_path}: {e}"))?;
-        let cfg: DekgIlpConfig = serde_json::from_str(&cfg_text)
-            .map_err(|e| format!("parsing model config {cfg_path}: {e}"))?;
-        cfg.try_validate().map_err(|e| format!("invalid model config {cfg_path}: {e}"))?;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        let mut model = DekgIlp::new(cfg, dataset, &mut rng);
-        model.load_checkpoint(path)?;
-        Ok(model)
     }
 
     /// Scores triples: φ_sem on a fresh tape plus φ_tpo through the
@@ -417,26 +425,30 @@ impl TrainableModel for DekgIlp {
     }
 }
 
-/// Replaces the file at `path` with `bytes` crash-consistently. The
-/// bytes go to a temp file in the same directory, which is synced and
-/// then renamed over `path` — one atomic step on POSIX filesystems —
-/// and the directory is synced so the rename survives a crash. A
-/// concurrent reader, or one after a crash mid-write, finds either the
-/// old contents or the new ones; a failed write leaves `path` untouched
-/// and removes its temp file. Checkpoints and their `.json` config
-/// sidecars are written through here.
+/// The [`DekgIlpConfig`] a checkpoint's meta section carries: UTF-8,
+/// then JSON, then the range checks, each failure a message.
+fn config_from_meta(meta: &[u8]) -> Result<DekgIlpConfig, String> {
+    let text =
+        std::str::from_utf8(meta).map_err(|e| format!("checkpoint config is not UTF-8: {e}"))?;
+    let cfg: DekgIlpConfig =
+        serde_json::from_str(text).map_err(|e| format!("parsing checkpoint config: {e}"))?;
+    cfg.try_validate().map_err(|e| format!("invalid checkpoint config: {e}"))?;
+    Ok(cfg)
+}
+
+/// Replaces the file at `path` with what `write` puts into it,
+/// crash-consistently. The bytes go to a temp file in the same
+/// directory, which is synced and then renamed over `path` — one atomic
+/// step on POSIX filesystems — and the directory is synced so the
+/// rename survives a crash. A concurrent reader, or one after a crash
+/// mid-write, finds either the old contents or the new ones; a failed
+/// write (an error from `write` included) leaves `path` untouched and
+/// removes its temp file.
 ///
 /// # Errors
 /// IO failures creating, writing, syncing or renaming the temp file, or
 /// a `path` without a file name.
-pub fn write_file_atomic(path: impl AsRef<std::path::Path>, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    write_file_atomic_with(path.as_ref(), |file| file.write_all(bytes))
-}
-
-/// [`write_file_atomic`] with the payload produced by `write` into the
-/// temp file; an error from `write` aborts before the rename.
-fn write_file_atomic_with(
+fn write_file_atomic(
     path: &std::path::Path,
     write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
@@ -597,6 +609,12 @@ mod tests {
         assert!(model.score_batch(&graph, &[]).is_empty());
     }
 
+    /// The bytes [`DekgIlp::save_checkpoint`] writes for `model`.
+    fn checkpoint_bytes(model: &DekgIlp) -> Vec<u8> {
+        let meta = serde_json::to_string(model.config()).unwrap();
+        dekg_tensor::serialize::encode(model.params(), meta.as_bytes()).to_vec()
+    }
+
     /// Every leftover temp file next to `path` (the writer's own naming).
     fn temp_files_beside(path: &std::path::Path) -> Vec<std::path::PathBuf> {
         let prefix = format!(".{}.tmp-", path.file_name().unwrap().to_string_lossy());
@@ -624,8 +642,8 @@ mod tests {
         // checkpoint: the error surfaces, and nothing of it lands.
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let new = DekgIlp::new(DekgIlpConfig::quick(), &d, &mut rng);
-        let new_bytes = dekg_tensor::serialize::encode(new.params()).to_vec();
-        let failed = write_file_atomic_with(&path, |file| {
+        let new_bytes = checkpoint_bytes(&new);
+        let failed = write_file_atomic(&path, |file| {
             use std::io::Write;
             file.write_all(&new_bytes[..new_bytes.len() / 2])?;
             Err(std::io::Error::other("disk full"))
@@ -641,12 +659,92 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut restored = DekgIlp::new(DekgIlpConfig::quick(), &d, &mut rng);
         restored.load_checkpoint(&path).unwrap();
-        assert_eq!(dekg_tensor::serialize::encode(restored.params()).to_vec(), old_bytes);
+        assert_eq!(checkpoint_bytes(&restored), old_bytes);
 
         // The next complete save replaces the checkpoint as a whole.
         new.save_checkpoint(&path).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), new_bytes);
         assert_eq!(temp_files_beside(&path), vec![torn]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Restore's config parse on byte-level edits of a real checkpoint's
+    /// meta section: every case is a validated config or an error
+    /// message, never a panic.
+    mod config_meta_fuzz {
+        use super::super::config_from_meta;
+        use crate::config::DekgIlpConfig;
+        use proptest::prelude::*;
+
+        /// A byte to write: mostly digits (listed twice, so drawn twice
+        /// as often) and JSON syntax, so that edits often stay parseable
+        /// and reach the range checks; sometimes any ASCII or any byte.
+        fn edit_bytes() -> impl Strategy<Value = u8> {
+            let syntax: Vec<u8> = b"-.e\"{}[],:ntf".to_vec();
+            prop_oneof![
+                any::<u8>(),
+                0u8..128,
+                b'0'..=b'9',
+                b'0'..=b'9',
+                (0..syntax.len()).prop_map(move |i| syntax[i]),
+            ]
+        }
+
+        /// Field values to swap in whole: zeros, negatives, fractions,
+        /// out-of-type and out-of-range numbers.
+        const VALUES: [&[u8]; 10] = [
+            b"0",
+            b"-1",
+            b"0.5",
+            b"1",
+            b"1e40",
+            b"-0.0",
+            b"null",
+            b"true",
+            b"\"x\"",
+            b"4294967296",
+        ];
+
+        /// Replaces the value after the `at`-th colon (up to the next
+        /// `,` or `}`) with `value`.
+        fn replace_value(meta: &mut Vec<u8>, at: usize, value: &[u8]) {
+            let colons: Vec<usize> =
+                meta.iter().enumerate().filter(|(_, &b)| b == b':').map(|(i, _)| i).collect();
+            if colons.is_empty() {
+                return;
+            }
+            let start = colons[at % colons.len()] + 1;
+            let end = meta[start..]
+                .iter()
+                .position(|&b| b == b',' || b == b'}')
+                .map_or(meta.len(), |k| start + k);
+            meta.splice(start..end, value.iter().copied());
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            #[test]
+            fn mutated_checkpoint_configs_parse_or_fail_typed(
+                edits in prop::collection::vec((any::<usize>(), 0u8..4, edit_bytes()), 1..4),
+            ) {
+                let mut meta = serde_json::to_string(&DekgIlpConfig::quick()).unwrap().into_bytes();
+                for (at, kind, byte) in edits {
+                    let n = meta.len();
+                    match kind {
+                        0 if n > 0 => meta[at % n] = byte,
+                        1 if n > 0 => {
+                            meta.remove(at % n);
+                        }
+                        2 => meta.insert(at % (n + 1), byte),
+                        _ => replace_value(&mut meta, at, VALUES[usize::from(byte) % VALUES.len()]),
+                    }
+                }
+                match config_from_meta(&meta) {
+                    Ok(cfg) => prop_assert!(cfg.try_validate().is_ok()),
+                    Err(msg) => prop_assert!(msg.contains("checkpoint config"), "{msg}"),
+                }
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! generation is freed when its last in-flight request finishes.
 //!
 //! Reloads are serialized by a dedicated mutex and do all slow work
-//! (reading and decoding the checkpoint pair) *outside* the write
+//! (reading and decoding the checkpoint file) *outside* the write
 //! lock — the swap itself is one pointer store.
 
 use dekg_core::{DekgIlp, InferenceGraph};
@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 pub struct ModelGeneration {
     /// The restored model, scoring through its batched engine.
     pub model: DekgIlp,
-    /// Path of the checkpoint pair this generation was restored from.
+    /// Path of the checkpoint file this generation was restored from.
     pub ckpt_path: String,
     /// Monotone generation counter: 1 for the startup load, +1 per reload.
     pub generation: u64,
@@ -43,7 +43,7 @@ pub struct RankEngine {
 }
 
 impl RankEngine {
-    /// Loads a dataset directory and a checkpoint pair into a ready
+    /// Loads a dataset directory and a checkpoint file into a ready
     /// engine. This is the slow path every warm request skips: dataset
     /// IO, adjacency/component-table derivation, filter construction
     /// and checkpoint restore all happen here, once.
@@ -105,7 +105,7 @@ impl RankEngine {
         Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Hot-swaps the model from a checkpoint pair — `ckpt` when given,
+    /// Hot-swaps the model from a checkpoint file — `ckpt` when given,
     /// else the current generation's path (re-read from disk). The new
     /// model is fully restored *before* the swap; in-flight requests
     /// keep their generation. Returns the new generation number.

@@ -434,7 +434,7 @@ fn reload(state: &ServeState, request: &Request) -> Response {
         }
     };
     // Body is optional: empty reloads the current generation's path;
-    // `{"ckpt": "<path>"}` swaps to a different checkpoint pair.
+    // `{"ckpt": "<path>"}` swaps to a different checkpoint file.
     let ckpt: Option<String> = match request.body_utf8() {
         Ok(b) if b.trim().is_empty() => None,
         Ok(b) => match serde_json::parse_value(b) {

@@ -1,5 +1,5 @@
 //! Shared fixture for the serve integration tests: a tiny synthetic
-//! dataset plus an (untrained) checkpoint pair on disk, and helpers to
+//! dataset plus an (untrained) checkpoint file on disk, and helpers to
 //! boot a daemon over them. Untrained weights are fine — every test
 //! here is about *fidelity* (serve output ≡ library output), which is
 //! independent of model quality.
@@ -17,7 +17,7 @@ pub struct Fixture {
     pub dir: PathBuf,
     /// Dataset directory path.
     pub data: String,
-    /// Checkpoint path (`<ckpt>.json` sits next to it).
+    /// Checkpoint file path.
     pub ckpt: String,
     /// The dataset as the daemon will load it (from disk, so vocab
     /// interning order matches exactly).
@@ -48,14 +48,16 @@ pub fn fixture(tag: &str, model_seed: u64) -> Fixture {
     Fixture { dir, data, ckpt, dataset }
 }
 
-/// Writes a checkpoint pair (`path` + `path.json`) for a freshly
-/// initialized small model.
+/// Writes the checkpoint of a freshly initialized small model.
 pub fn write_checkpoint(dataset: &DekgDataset, path: &str, seed: u64) {
-    let cfg = DekgIlpConfig { dim: 8, ..DekgIlpConfig::paper() };
+    small_model(dataset, 8, seed).save_checkpoint(path).unwrap();
+}
+
+/// A freshly initialized paper-config model of width `dim`.
+pub fn small_model(dataset: &DekgDataset, dim: usize, seed: u64) -> DekgIlp {
+    let cfg = DekgIlpConfig { dim, ..DekgIlpConfig::paper() };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let model = DekgIlp::new(cfg.clone(), dataset, &mut rng);
-    model.save_checkpoint(path).unwrap();
-    std::fs::write(format!("{path}.json"), serde_json::to_string_pretty(&cfg).unwrap()).unwrap();
+    DekgIlp::new(cfg, dataset, &mut rng)
 }
 
 /// Boots a ready daemon over the fixture. Returns the server handle

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{fixture, rank_call, serve, stop, write_checkpoint, Fixture};
+use common::{fixture, rank_call, serve, small_model, stop, write_checkpoint, Fixture};
 use dekg_core::reference::TapeReference;
 use dekg_core::{DekgIlp, InferenceGraph, LinkPredictor};
 use dekg_eval::{filtered_rank, RankQuery};
@@ -49,12 +49,33 @@ fn library_rank(
     index: u64,
 ) -> f64 {
     let model = DekgIlp::restore(ckpt, &fx.dataset).unwrap();
+    model_rank(fx, &model, link, candidates, seed, index)
+}
+
+/// [`library_rank`] for a model already in memory.
+fn model_rank(
+    fx: &Fixture,
+    model: &DekgIlp,
+    link: usize,
+    candidates: usize,
+    seed: u64,
+    index: u64,
+) -> f64 {
     let graph = InferenceGraph::from_dataset(&fx.dataset);
     let filter = protocol_filter(fx);
     let query = RankQuery::Tail(fx.dataset.test_enclosing[link]);
     let mut rng = dekg_datasets::item_rng(seed, index);
-    let tape = TapeReference::new(&model);
+    let tape = TapeReference::new(model);
     filtered_rank(&tape, &graph, &query, &filter, Some(candidates), &mut rng)
+}
+
+/// The `/rank` reply body for a tail query ranked `rank`.
+fn tail_rank_reply(rank: f64) -> String {
+    serde_json::to_string(&serde::Value::Object(vec![
+        ("task".to_owned(), serde::Value::Str("tail".to_owned())),
+        ("rank".to_owned(), serde::Value::Num(serde::Number::F(rank))),
+    ]))
+    .unwrap()
 }
 
 #[test]
@@ -96,12 +117,7 @@ fn served_rank_is_bitwise_identical_to_evaluate_protocol() {
         assert_eq!(status, 200, "{first}");
         // Byte-identical to the library-side protocol computation…
         let expected = library_rank(&fx, &fx.ckpt, link, 20, seed, index);
-        let expected_body = serde_json::to_string(&serde::Value::Object(vec![
-            ("task".to_owned(), serde::Value::Str("tail".to_owned())),
-            ("rank".to_owned(), serde::Value::Num(serde::Number::F(expected))),
-        ]))
-        .unwrap();
-        assert_eq!(first, expected_body, "link {link}");
+        assert_eq!(first, tail_rank_reply(expected), "link {link}");
         // …and across repeated requests.
         assert_eq!(rank_call(&addr, &body).1, first);
     }
@@ -207,12 +223,7 @@ fn hot_swap_changes_generation_and_model() {
         expected2.to_bits(),
         "fixture too degenerate: both checkpoints rank identically"
     );
-    let want = serde_json::to_string(&serde::Value::Object(vec![
-        ("task".to_owned(), serde::Value::Str("tail".to_owned())),
-        ("rank".to_owned(), serde::Value::Num(serde::Number::F(expected2))),
-    ]))
-    .unwrap();
-    assert_eq!(after.1, want);
+    assert_eq!(after.1, tail_rank_reply(expected2));
 
     // Empty body re-reads the current generation's path.
     let (status, reply) = http_call(&addr, "POST", "/admin/reload", None).unwrap();
@@ -239,14 +250,16 @@ fn reload_failure_keeps_serving_current_generation() {
 
 #[test]
 fn mismatched_reload_is_an_error_and_keeps_serving() {
-    // Weights under a sidecar that describes another architecture: the
-    // reload must answer with an error, not take the daemon down, and
-    // generation 1 keeps answering byte-identically.
+    // One file whose weights do not fit the architecture its own config
+    // describes: the reload must answer with an error, not take the
+    // daemon down, and generation 1 keeps answering byte-identically.
     let fx = fixture("reload-mismatch", 1);
     let ckpt2 = fx.dir.join("model2.dekg").to_string_lossy().into_owned();
-    write_checkpoint(&fx.dataset, &ckpt2, 42);
-    let cfg2 = dekg_core::DekgIlpConfig { dim: 16, ..dekg_core::DekgIlpConfig::paper() };
-    std::fs::write(format!("{ckpt2}.json"), serde_json::to_string_pretty(&cfg2).unwrap()).unwrap();
+    let narrow = small_model(&fx.dataset, 8, 42);
+    let wide_cfg = dekg_core::DekgIlpConfig { dim: 16, ..dekg_core::DekgIlpConfig::paper() };
+    let meta = serde_json::to_string(&wide_cfg).unwrap();
+    std::fs::write(&ckpt2, dekg_tensor::serialize::encode(narrow.params(), meta.as_bytes()))
+        .unwrap();
     let (server, addr) = serve(&fx, ServeConfig::default());
     let body = tail_rank_body(&fx, 0, 10, 0, 0);
     let before = rank_call(&addr, &body);
@@ -265,6 +278,53 @@ fn mismatched_reload_is_an_error_and_keeps_serving() {
 }
 
 #[test]
+fn reload_racing_a_checkpoint_write_restores_one_whole_save() {
+    // Two architectures (dim 8 and 16) take turns being saved onto the
+    // daemon's own checkpoint path while reloads re-read it. A save is
+    // one file landing by one rename, so every reload restores one
+    // save whole — config and weights together — and none can pair one
+    // save's weights with the other's config ("shape mismatch").
+    const RELOADS: u64 = 60;
+    let fx = fixture("reload-race", 1);
+    let models = [small_model(&fx.dataset, 16, 11), small_model(&fx.dataset, 8, 12)];
+    let answers = models.each_ref().map(|m| tail_rank_reply(model_rank(&fx, m, 0, 20, 5, 7)));
+    assert_ne!(answers[0], answers[1], "fixture too degenerate: both models rank identically");
+    let (server, addr) = serve(&fx, ServeConfig::default());
+
+    // Replies are checked after the writer has stopped, so that a
+    // failing reload cannot leave it saving forever.
+    let writing = std::sync::atomic::AtomicBool::new(true);
+    let (replies, saves) = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut saves = 0usize;
+            while writing.load(std::sync::atomic::Ordering::Relaxed) || saves < 2 {
+                models[saves % 2].save_checkpoint(&fx.ckpt).unwrap();
+                saves += 1;
+            }
+            saves
+        });
+        let replies: Vec<_> =
+            (0..RELOADS).map(|_| http_call(&addr, "POST", "/admin/reload", None)).collect();
+        writing.store(false, std::sync::atomic::Ordering::Relaxed);
+        (replies, writer.join().unwrap())
+    });
+    for (generation, reply) in (2..).zip(replies) {
+        let (status, reply) = reply.unwrap();
+        assert_eq!(status, 200, "reload to generation {generation}: {reply}");
+        assert_eq!(reply, format!("{{\"generation\":{generation}}}"));
+    }
+
+    // The writer has stopped: one more reload picks up its last save,
+    // and the daemon answers exactly as that model does in the library.
+    let (status, reply) = http_call(&addr, "POST", "/admin/reload", None).unwrap();
+    assert_eq!((status, reply), (200, format!("{{\"generation\":{}}}", RELOADS + 2)));
+    let (status, body) = rank_call(&addr, &tail_rank_body(&fx, 0, 20, 5, 7));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, answers[(saves - 1) % 2], "after {saves} saves");
+    stop(server);
+}
+
+#[test]
 fn in_flight_requests_survive_hot_swap() {
     let fx = fixture("swap-inflight", 1);
     let ckpt2 = fx.dir.join("model2.dekg").to_string_lossy().into_owned();
@@ -272,14 +332,7 @@ fn in_flight_requests_survive_hot_swap() {
     let (server, addr) = serve(&fx, ServeConfig::default());
 
     let body = tail_rank_body(&fx, 1, 15, 2, 4);
-    let make = |ckpt: &str| {
-        let rank = library_rank(&fx, ckpt, 1, 15, 2, 4);
-        serde_json::to_string(&serde::Value::Object(vec![
-            ("task".to_owned(), serde::Value::Str("tail".to_owned())),
-            ("rank".to_owned(), serde::Value::Num(serde::Number::F(rank))),
-        ]))
-        .unwrap()
-    };
+    let make = |ckpt: &str| tail_rank_reply(library_rank(&fx, ckpt, 1, 15, 2, 4));
     let allowed = [make(&fx.ckpt), make(&ckpt2)];
 
     std::thread::scope(|scope| {

@@ -3,24 +3,29 @@
 //! Format (all little-endian):
 //!
 //! ```text
-//! magic  "DKGT"          4 bytes
-//! version u32            currently 1
-//! count   u32            number of parameters
+//! magic    "DKGT"        4 bytes
+//! version  u32           currently 2
+//! meta_len u32, meta bytes (opaque here; the caller's own record)
+//! count    u32           number of parameters
 //! per parameter:
 //!   name_len u32, name bytes (UTF-8)
 //!   rank u32, dims u32 * rank
 //!   data f32 * numel
 //! ```
 //!
-//! Checkpointing trained models lets the experiment binaries separate
-//! the (slow) training phase from (fast) evaluation reruns.
+//! The file ends with the last parameter's data. The meta section lets
+//! one file describe itself: a model stores the configuration that
+//! built its parameters there, so the weights and their config are
+//! written, renamed and read as one unit. This crate never interprets
+//! the meta bytes. Version 1 files (no meta section) are rejected with
+//! [`DecodeError::BadVersion`].
 
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"DKGT";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Errors produced when decoding a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,8 +38,12 @@ pub enum DecodeError {
     BadVersion(u32),
     /// A parameter name is not valid UTF-8.
     BadName,
+    /// Two parameters share a name.
+    DuplicateName,
     /// A declared shape's element or byte count overflows `usize`.
     ShapeOverflow,
+    /// Bytes follow the last declared parameter.
+    TrailingBytes,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -44,8 +53,12 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "not a DKGT checkpoint"),
             DecodeError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             DecodeError::BadName => write!(f, "invalid UTF-8 parameter name"),
+            DecodeError::DuplicateName => write!(f, "checkpoint names a parameter twice"),
             DecodeError::ShapeOverflow => {
                 write!(f, "checkpoint declares a tensor too large to address")
+            }
+            DecodeError::TrailingBytes => {
+                write!(f, "checkpoint has bytes after its last parameter")
             }
         }
     }
@@ -53,11 +66,14 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Serializes the store to its binary checkpoint format.
-pub fn encode(store: &ParamStore) -> Bytes {
+/// Serializes the store, with `meta` as its opaque meta section, to the
+/// binary checkpoint format.
+pub fn encode(store: &ParamStore, meta: &[u8]) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
+    buf.put_u32_le(meta.len() as u32);
+    buf.put_slice(meta);
     buf.put_u32_le(store.len() as u32);
     for (_, name, value) in store.iter() {
         buf.put_u32_le(name.len() as u32);
@@ -74,12 +90,14 @@ pub fn encode(store: &ParamStore) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a checkpoint produced by [`encode`].
+/// Decodes a checkpoint produced by [`encode`] into its store and its
+/// meta section (a slice of `buf`).
 ///
 /// Parameter ids are assigned in stored order, which matches the order
-/// they were registered at save time.
-pub fn decode(mut buf: &[u8]) -> Result<ParamStore, DecodeError> {
-    if buf.remaining() < 12 {
+/// they were registered at save time. Every declared length is checked
+/// against the bytes that remain before anything is allocated for it.
+pub fn decode(mut buf: &[u8]) -> Result<(ParamStore, &[u8]), DecodeError> {
+    if buf.remaining() < 8 {
         return Err(DecodeError::Truncated);
     }
     let mut magic = [0u8; 4];
@@ -90,6 +108,18 @@ pub fn decode(mut buf: &[u8]) -> Result<ParamStore, DecodeError> {
     let version = buf.get_u32_le();
     if version != VERSION {
         return Err(DecodeError::BadVersion(version));
+    }
+    if buf.remaining() < 4 {
+        return Err(DecodeError::Truncated);
+    }
+    let meta_len = buf.get_u32_le() as usize;
+    if buf.remaining() < meta_len {
+        return Err(DecodeError::Truncated);
+    }
+    let (meta, rest) = buf.split_at(meta_len);
+    buf = rest;
+    if buf.remaining() < 4 {
+        return Err(DecodeError::Truncated);
     }
     let count = buf.get_u32_le() as usize;
     let mut store = ParamStore::new();
@@ -104,6 +134,9 @@ pub fn decode(mut buf: &[u8]) -> Result<ParamStore, DecodeError> {
         let name =
             std::str::from_utf8(&buf[..name_len]).map_err(|_| DecodeError::BadName)?.to_owned();
         buf.advance(name_len);
+        if store.id_of(&name).is_some() {
+            return Err(DecodeError::DuplicateName);
+        }
         if buf.remaining() < 4 {
             return Err(DecodeError::Truncated);
         }
@@ -123,7 +156,10 @@ pub fn decode(mut buf: &[u8]) -> Result<ParamStore, DecodeError> {
         let data: Vec<f32> = (0..numel).map(|_| buf.get_f32_le()).collect();
         store.insert(name, Tensor::from_vec(dims, data));
     }
-    Ok(store)
+    if !buf.is_empty() {
+        return Err(DecodeError::TrailingBytes);
+    }
+    Ok((store, meta))
 }
 
 #[cfg(test)]
@@ -141,8 +177,9 @@ mod tests {
         ps.insert("bias", Tensor::from_vec([3], vec![0.1, -0.2, 0.3]));
         ps.insert("scalar", Tensor::scalar(7.0));
 
-        let bytes = encode(&ps);
-        let back = decode(&bytes).unwrap();
+        let bytes = encode(&ps, b"{\"dim\": 4}");
+        let (back, meta) = decode(&bytes).unwrap();
+        assert_eq!(meta, b"{\"dim\": 4}");
         assert_eq!(back.len(), 3);
         for (_, name, value) in ps.iter() {
             let id = back.id_of(name).expect("name preserved");
@@ -152,7 +189,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let err = decode(b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00").unwrap_err();
+        let err = decode(b"NOPE\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00").unwrap_err();
         assert_eq!(err, DecodeError::BadMagic);
     }
 
@@ -160,8 +197,8 @@ mod tests {
     fn rejects_truncation() {
         let mut ps = ParamStore::new();
         ps.insert("w", Tensor::ones([8]));
-        let bytes = encode(&ps);
-        for cut in [0, 5, 13, bytes.len() - 1] {
+        let bytes = encode(&ps, b"meta");
+        for cut in [0, 5, 9, 13, 17, bytes.len() - 1] {
             let err = decode(&bytes[..cut]).unwrap_err();
             assert_eq!(err, DecodeError::Truncated, "cut at {cut}");
         }
@@ -176,6 +213,21 @@ mod tests {
         assert_eq!(decode(&buf).unwrap_err(), DecodeError::BadVersion(99));
     }
 
+    /// A version-1 file (count right after the version, no meta
+    /// section) is refused by its version, not misread as a meta length.
+    #[test]
+    fn rejects_version_one() {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(1);
+        buf.put_u32_le(1);
+        buf.put_u32_le(1);
+        buf.put_slice(b"w");
+        buf.put_u32_le(0);
+        buf.put_f32_le(1.0);
+        assert_eq!(decode(&buf).unwrap_err(), DecodeError::BadVersion(1));
+    }
+
     /// A header whose dims multiply past `usize` is a typed error, not a
     /// debug-build overflow panic or a release-build wrap to an empty
     /// tensor claiming 2^64 elements: once in the element count, once in
@@ -186,6 +238,7 @@ mod tests {
             let mut buf = BytesMut::new();
             buf.put_slice(MAGIC);
             buf.put_u32_le(VERSION);
+            buf.put_u32_le(0);
             buf.put_u32_le(1);
             buf.put_u32_le(1);
             buf.put_slice(b"w");
@@ -197,10 +250,41 @@ mod tests {
         }
     }
 
+    /// Bytes past the last declared parameter — a second file appended,
+    /// or a count lowered — are refused, not dropped with a partial store.
+    #[test]
+    fn rejects_trailing_bytes() {
+        let mut ps = ParamStore::new();
+        ps.insert("a", Tensor::ones([2]));
+        ps.insert("b", Tensor::ones([3]));
+        let bytes = encode(&ps, b"");
+        let mut doubled = bytes.to_vec();
+        doubled.extend_from_slice(&bytes);
+        assert_eq!(decode(&doubled).unwrap_err(), DecodeError::TrailingBytes);
+        let mut lowered = bytes.to_vec();
+        lowered[12] = 1; // count 2 → 1 (empty meta: count sits at byte 12)
+        assert_eq!(decode(&lowered).unwrap_err(), DecodeError::TrailingBytes);
+    }
+
+    /// A repeated name is a typed error, not the store's duplicate-name
+    /// panic.
+    #[test]
+    fn rejects_duplicate_names() {
+        let mut ps = ParamStore::new();
+        ps.insert("a", Tensor::scalar(1.0));
+        ps.insert("b", Tensor::scalar(2.0));
+        let mut bytes = encode(&ps, b"").to_vec();
+        let second = bytes.iter().rposition(|&b| b == b'b').unwrap();
+        bytes[second] = b'a';
+        assert_eq!(decode(&bytes).unwrap_err(), DecodeError::DuplicateName);
+    }
+
     #[test]
     fn empty_store_roundtrips() {
         let ps = ParamStore::new();
-        let back = decode(&encode(&ps)).unwrap();
+        let bytes = encode(&ps, b"");
+        let (back, meta) = decode(&bytes).unwrap();
         assert!(back.is_empty());
+        assert!(meta.is_empty());
     }
 }

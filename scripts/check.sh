@@ -28,8 +28,12 @@ echo "==> tensor unit tests, optimized"
 # The suite above is a debug build, so it never runs the autovectorized
 # register paths of the matmul kernels that release binaries execute.
 # Their bit-equality tests against the scalar loops, and the checkpoint
-# decoder's overflow test, run here in release as well.
+# decoder's overflow test, run here in release as well, and so does the
+# decoder's property and fuzz suite (arbitrary and mutated checkpoint
+# bytes decode to a store or a typed error, never a panic, never an
+# allocation past the input's length).
 cargo test -q --release --offline -p dekg-tensor --lib
+cargo test -q --release --offline -p dekg-tensor --test prop_serialize
 
 echo "==> repository benchmark self-tests (dekgbench)"
 # The benchmark is its own workspace, so the test above does not reach
@@ -80,6 +84,9 @@ echo "==> observability smoke: train with sinks, obslint both"
 cargo run -q --release --offline -p dekg-cli -- \
     train --data "$tmp/data" --epochs 1 --ckpt "$tmp/model.dekg" \
     --log-level warn --metrics-out "$tmp/metrics.jsonl" --trace-out "$tmp/trace.jsonl"
+# A checkpoint is one file: the config travels inside it, no sidecar.
+test -s "$tmp/model.dekg"
+test ! -e "$tmp/model.dekg.json"
 # Every sink line must parse, re-serialize byte-identically, and lead
 # with its event kind; the required kinds pin the training schema.
 cargo run -q --release --offline -p dekg-cli -- \
@@ -155,7 +162,8 @@ dekg request --addr "$addr" --body "$rank_body" > "$tmp/rank1.json"
 dekg request --addr "$addr" --body "$rank_body" > "$tmp/rank2.json"
 diff "$tmp/rank1.json" "$tmp/rank2.json"
 grep -q '"rank":' "$tmp/rank1.json"
-# Hot-swap: re-reads the checkpoint in place, generation must bump.
+# Hot-swap: re-reads the single checkpoint file in place, generation
+# must bump.
 dekg request --addr "$addr" --path /admin/reload --method POST | grep -q '"generation":2'
 dekg request --addr "$addr" --body "$rank_body" > "$tmp/rank3.json"
 diff "$tmp/rank1.json" "$tmp/rank3.json"

@@ -24,8 +24,8 @@ fn dekg_ilp_checkpoint_roundtrip() {
     let before = model.score_batch(&graph, batch);
 
     // Serialize, then restore into a fresh model skeleton.
-    let bytes = encode(model.params());
-    let restored_params = decode(&bytes).expect("decode");
+    let bytes = encode(model.params(), b"");
+    let (restored_params, _meta) = decode(&bytes).expect("decode");
     let mut rng2 = ChaCha8Rng::seed_from_u64(999); // different init seed on purpose
     let mut restored = DekgIlp::new(cfg, &data, &mut rng2);
     *restored.params_mut() = restored_params;
@@ -50,7 +50,8 @@ fn checkpoint_preserves_every_parameter() {
     let mut ps = ParamStore::new();
     ps.insert("a", Tensor::from_vec([2, 2], vec![1.0, -2.0, 3.5, 0.25]));
     ps.insert("b", Tensor::scalar(42.0));
-    let back = decode(&encode(&ps)).unwrap();
+    let bytes = encode(&ps, b"");
+    let (back, _meta) = decode(&bytes).unwrap();
     assert_eq!(back.len(), ps.len());
     for (_, name, value) in ps.iter() {
         let id = back.id_of(name).unwrap();
@@ -85,23 +86,22 @@ fn corrupted_checkpoint_is_rejected_not_misread() {
     let data = dataset();
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     let model = DekgIlp::new(DekgIlpConfig::quick(), &data, &mut rng);
-    let mut bytes = encode(model.params()).to_vec();
+    let mut bytes = encode(model.params(), b"").to_vec();
     // Flip the magic.
     bytes[0] ^= 0xFF;
     assert!(decode(&bytes).is_err());
     // Truncate the tail.
-    let bytes2 = encode(model.params());
+    let bytes2 = encode(model.params(), b"");
     assert!(decode(&bytes2[..bytes2.len() / 2]).is_err());
 }
 
-/// Writes `model`'s weights to `path` with `cfg` as its `.json`
-/// sidecar — a deliberately mismatched pair when `cfg` is not the
-/// model's own config.
+/// Writes one checkpoint file holding `model`'s weights under `cfg` —
+/// a deliberately mismatched file when `cfg` is not the model's own
+/// config.
 fn write_pair(model: &DekgIlp, cfg: &DekgIlpConfig, path: &std::path::Path) -> String {
-    let path = path.to_string_lossy().into_owned();
-    model.save_checkpoint(&path).unwrap();
-    std::fs::write(format!("{path}.json"), serde_json::to_string_pretty(cfg).unwrap()).unwrap();
-    path
+    let meta = serde_json::to_string(cfg).unwrap();
+    std::fs::write(path, encode(model.params(), meta.as_bytes())).unwrap();
+    path.to_string_lossy().into_owned()
 }
 
 #[test]
@@ -113,32 +113,31 @@ fn mismatched_checkpoint_pair_is_an_error_not_a_panic() {
     let dir = std::env::temp_dir();
     let tag = std::process::id();
 
-    // The sidecar's own pair restores.
-    let ok = write_pair(&model, &cfg, &dir.join(format!("dekg_ckpt_pair_ok_{tag}.bin")));
+    // The model's own save restores, from that one file.
+    let ok = dir.join(format!("dekg_ckpt_pair_ok_{tag}.bin")).to_string_lossy().into_owned();
+    model.save_checkpoint(&ok).unwrap();
     assert!(DekgIlp::restore(&ok, &data).is_ok());
 
-    // A sidecar of a different `dim`: same names, other shapes.
+    // A config of a different `dim`: same names, other shapes.
     let wide = DekgIlpConfig { dim: cfg.dim * 2, ..cfg.clone() };
     let path = write_pair(&model, &wide, &dir.join(format!("dekg_ckpt_pair_dim_{tag}.bin")));
     let err = DekgIlp::restore(&path, &data).unwrap_err().to_string();
     assert!(err.contains("shape mismatch"), "{err}");
 
-    // A sidecar without the semantic module: a different parameter set.
+    // A config without the semantic module: a different parameter set.
     let no_sem = DekgIlpConfig { ablation: Ablation::without_semantic(), ..cfg.clone() };
     let path = write_pair(&model, &no_sem, &dir.join(format!("dekg_ckpt_pair_abl_{tag}.bin")));
     let err = DekgIlp::restore(&path, &data).unwrap_err().to_string();
     assert!(err.contains("parameters"), "{err}");
 
-    // An out-of-range sidecar is rejected before any model is built.
+    // An out-of-range config is rejected before any model is built.
     let zero = DekgIlpConfig { dim: 0, ..cfg.clone() };
     let path = write_pair(&model, &zero, &dir.join(format!("dekg_ckpt_pair_zero_{tag}.bin")));
     let err = DekgIlp::restore(&path, &data).unwrap_err().to_string();
     assert!(err.contains("dim must be positive"), "{err}");
 
     for kind in ["ok", "dim", "abl", "zero"] {
-        let p = dir.join(format!("dekg_ckpt_pair_{kind}_{tag}.bin"));
-        std::fs::remove_file(&p).ok();
-        std::fs::remove_file(format!("{}.json", p.display())).ok();
+        std::fs::remove_file(dir.join(format!("dekg_ckpt_pair_{kind}_{tag}.bin"))).ok();
     }
 }
 
