@@ -96,10 +96,9 @@ impl Gsm {
         g.matmul(cat, w)
     }
 
-    /// Scores many subgraphs on one tape with parameters mounted once —
-    /// the evaluation fast path (mounting the per-relation weight stack
-    /// per candidate dominates scoring cost otherwise). Returns the raw
-    /// `f32` scores; no dropout is applied (evaluation semantics).
+    /// Scores many subgraphs on one tape: the tape mounts the parameters
+    /// once, however many items share it. Returns the raw `f32` scores;
+    /// no dropout is applied (evaluation semantics).
     pub fn score_subgraphs_eval(
         &self,
         params: &ParamStore,
@@ -113,10 +112,10 @@ impl Gsm {
     }
 
     /// Records the [`Gsm::score_subgraphs_eval`] tape without reading
-    /// the scores off it: parameters mounted once, no dropout, one
-    /// scalar `Var` per item. Exposed so the profiler can bracket pure
-    /// tape recording; forward values are eager, so reading them later
-    /// is free and bitwise identical.
+    /// the scores off it: one [`Gsm::score_subgraph`] per item, no
+    /// dropout, one scalar `Var` per item. Exposed so the profiler can
+    /// bracket pure tape recording; forward values are eager, so reading
+    /// them later is free and bitwise identical.
     pub fn record_eval_tape(
         &self,
         params: &ParamStore,
@@ -127,28 +126,10 @@ impl Gsm {
         // lint: hermetic-ok — eval path draws nothing; the constant seed feeds an encoder signature that demands an Rng
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
         let mut g = Graph::new();
-        let mounted = self.encoder.mount(&mut g, params);
-        let rel_tpo = g.param(params, self.rel_tpo);
-        let w = g.param(params, self.w_out);
-        let mut out = Vec::with_capacity(items.len());
-        // Ranking batches share one relation across all candidates;
-        // memoize the r^tpo row gather per relation instead of
-        // re-gathering per candidate. Same values on the tape → same
-        // scores, fewer nodes.
-        let mut rel_rows: std::collections::HashMap<usize, Var> = std::collections::HashMap::new();
-        for (sg, rel) in items {
-            let enc = self.encoder.encode_mounted(&mut g, &mounted, sg, false, &mut rng);
-            let r = match rel_rows.get(&rel.index()) {
-                Some(&r) => r,
-                None => {
-                    let r = g.gather_rows(rel_tpo, &[rel.index()]);
-                    rel_rows.insert(rel.index(), r);
-                    r
-                }
-            };
-            let cat = g.concat_cols(&[enc.graph, enc.head, enc.tail, r]);
-            out.push(g.matmul(cat, w));
-        }
+        let out = items
+            .iter()
+            .map(|(sg, rel)| self.score_subgraph(&mut g, params, sg, *rel, false, &mut rng))
+            .collect();
         (g, out)
     }
 

@@ -56,7 +56,7 @@ pub mod prelude {
 }
 
 pub use config::{Ablation, DekgIlpConfig};
-pub use model::DekgIlp;
+pub use model::{CheckpointMismatch, DekgIlp};
 pub use profile::{
     profile_eval, profile_train, profile_train_paired, PairedProfile, ProfileReport,
 };

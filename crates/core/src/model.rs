@@ -240,7 +240,8 @@ impl DekgIlp {
     /// # Errors
     /// IO failures, a corrupt checkpoint, a malformed or out-of-range
     /// config, or weights that do not match the architecture the same
-    /// file's config describes.
+    /// file's config describes (a [`CheckpointMismatch`], found before
+    /// the model is allocated).
     pub fn restore(
         path: &str,
         dataset: &DekgDataset,
@@ -248,6 +249,12 @@ impl DekgIlp {
         let bytes = std::fs::read(path)?;
         let (restored, meta) = dekg_tensor::serialize::decode(&bytes)?;
         let cfg = config_from_meta(meta)?;
+        // The config sets what `new` allocates: hold it against the
+        // stored weights first, so a small file cannot declare a large
+        // model.
+        let declared: std::collections::BTreeMap<String, Vec<usize>> =
+            declared_shapes(&cfg, dataset.num_relations, restored.len())?.into_iter().collect();
+        check_params(&restored, declared.len(), |name| declared.get(name).map(Vec::as_slice))?;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
         let mut model = DekgIlp::new(cfg, dataset, &mut rng);
         model.install(&restored)?;
@@ -257,32 +264,16 @@ impl DekgIlp {
     /// Overwrites every parameter with its namesake in `restored`,
     /// after checking the whole set (count, names, shapes) so that a
     /// mismatch changes nothing.
-    fn install(&mut self, restored: &ParamStore) -> Result<(), String> {
-        if restored.len() != self.params.len() {
-            return Err(format!(
-                "checkpoint has {} parameters, model expects {}",
-                restored.len(),
-                self.params.len()
-            ));
-        }
-        let mut ids = Vec::with_capacity(restored.len());
+    fn install(&mut self, restored: &ParamStore) -> Result<(), CheckpointMismatch> {
+        let params = &self.params;
+        check_params(restored, params.len(), |name| {
+            params.id_of(name).map(|id| params.get(id).shape().dims())
+        })?;
         for (_, name, value) in restored.iter() {
-            let id = self
-                .params
-                .id_of(name)
-                .ok_or_else(|| format!("checkpoint parameter {name:?} unknown to this model"))?;
-            let expected = self.params.get(id).shape();
-            if !expected.same_as(value.shape()) {
-                return Err(format!(
-                    "shape mismatch for {name:?}: checkpoint {:?}, model {:?}",
-                    value.shape().dims(),
-                    expected.dims()
-                ));
+            // Every name was found above.
+            if let Some(id) = self.params.id_of(name) {
+                *self.params.get_mut(id) = value.clone();
             }
-            ids.push(id);
-        }
-        for (id, (_, _, value)) in ids.into_iter().zip(restored.iter()) {
-            *self.params.get_mut(id) = value.clone();
         }
         Ok(())
     }
@@ -427,6 +418,123 @@ impl TrainableModel for DekgIlp {
 
 /// The [`DekgIlpConfig`] a checkpoint's meta section carries: UTF-8,
 /// then JSON, then the range checks, each failure a message.
+/// Why a checkpoint's weights do not fit a model: the one its own
+/// config declares ([`DekgIlp::restore`]) or the one they are loaded
+/// into ([`DekgIlp::load_checkpoint`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CheckpointMismatch {
+    /// The file stores a different number of parameters.
+    Count {
+        /// Parameters in the file.
+        stored: usize,
+        /// Parameters the model has.
+        expected: usize,
+    },
+    /// A stored parameter the model has no slot for.
+    Unknown(String),
+    /// A stored parameter of a different shape.
+    Shape {
+        /// The parameter's name.
+        name: String,
+        /// Its shape in the file.
+        stored: Vec<usize>,
+        /// Its shape in the model.
+        expected: Vec<usize>,
+    },
+    /// The declared architecture's sizes overflow `usize`.
+    Overflow,
+}
+
+impl std::fmt::Display for CheckpointMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Count { stored, expected } => {
+                write!(f, "checkpoint has {stored} parameters, model expects {expected}")
+            }
+            Self::Unknown(name) => write!(f, "checkpoint parameter {name:?} unknown to this model"),
+            Self::Shape { name, stored, expected } => {
+                write!(f, "shape mismatch for {name:?}: checkpoint {stored:?}, model {expected:?}")
+            }
+            Self::Overflow => write!(f, "checkpoint config declares an architecture too large"),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointMismatch {}
+
+/// Checks every parameter of `restored` against a model of `expected`
+/// parameters, where `shape_of` gives a model parameter's shape by name.
+fn check_params<'a>(
+    restored: &ParamStore,
+    expected: usize,
+    shape_of: impl Fn(&str) -> Option<&'a [usize]>,
+) -> Result<(), CheckpointMismatch> {
+    if restored.len() != expected {
+        return Err(CheckpointMismatch::Count { stored: restored.len(), expected });
+    }
+    for (_, name, value) in restored.iter() {
+        let dims = shape_of(name).ok_or_else(|| CheckpointMismatch::Unknown(name.to_owned()))?;
+        if dims != value.shape().dims() {
+            return Err(CheckpointMismatch::Shape {
+                name: name.to_owned(),
+                stored: value.shape().dims().to_vec(),
+                expected: dims.to_vec(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The name and shape of every parameter [`DekgIlp::new`] registers
+/// for `cfg` over `num_relations` relations, from the sizes alone, so
+/// [`DekgIlp::restore`] can hold a checkpoint's config against its
+/// weights before allocating a model (a test pins this list to `new`).
+/// The count is checked against the `stored` count first, so a config
+/// declaring many layers allocates nothing beyond what the file backs.
+fn declared_shapes(
+    cfg: &DekgIlpConfig,
+    num_relations: usize,
+    stored: usize,
+) -> Result<Vec<(String, Vec<usize>)>, CheckpointMismatch> {
+    let per_layer = if cfg.num_bases.is_some() { 6 } else { 5 };
+    let semantic = if cfg.ablation.use_semantic { 2 } else { 0 };
+    let expected = cfg
+        .gnn_layers
+        .checked_mul(per_layer)
+        .and_then(|n| n.checked_add(semantic + 2))
+        .ok_or(CheckpointMismatch::Overflow)?;
+    if stored != expected {
+        return Err(CheckpointMismatch::Count { stored, expected });
+    }
+    let mul = |a: usize, b: usize| a.checked_mul(b).ok_or(CheckpointMismatch::Overflow);
+    let (r, d) = (num_relations, cfg.dim);
+    let mut out = Vec::with_capacity(expected);
+    if cfg.ablation.use_semantic {
+        out.push(("clrm.features".to_owned(), vec![r, d]));
+        out.push(("clrm.rel_sem".to_owned(), vec![r, d]));
+    }
+    for l in 0..cfg.gnn_layers {
+        let p = format!("gsm.encoder.layer{l}");
+        let in_dim = if l == 0 { dekg_gnn::labeling::feature_width(cfg.hops) } else { d };
+        match cfg.num_bases {
+            None => out.push((format!("{p}.w_rel"), vec![mul(r, in_dim)?, d])),
+            Some(b) => {
+                out.push((format!("{p}.basis_coeffs"), vec![r, b]));
+                out.push((format!("{p}.bases"), vec![b, mul(in_dim, d)?]));
+            }
+        }
+        out.push((format!("{p}.w_self"), vec![in_dim, d]));
+        out.push((format!("{p}.bias"), vec![d]));
+        out.push((format!("{p}.attn_embed"), vec![r, cfg.attn_dim]));
+        let attn_in =
+            mul(2, in_dim)?.checked_add(cfg.attn_dim).ok_or(CheckpointMismatch::Overflow)?;
+        out.push((format!("{p}.w_attn"), vec![attn_in, 1]));
+    }
+    out.push(("gsm.rel_tpo".to_owned(), vec![r, d]));
+    out.push(("gsm.w_out".to_owned(), vec![mul(4, d)?, 1]));
+    Ok(out)
+}
+
 fn config_from_meta(meta: &[u8]) -> Result<DekgIlpConfig, String> {
     let text =
         std::str::from_utf8(meta).map_err(|e| format!("checkpoint config is not UTF-8: {e}"))?;
@@ -666,6 +774,28 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), new_bytes);
         assert_eq!(temp_files_beside(&path), vec![torn]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn declared_shapes_match_what_new_registers() {
+        let d = tiny_dataset();
+        let quick = DekgIlpConfig::quick();
+        for cfg in [
+            quick.clone(),
+            DekgIlpConfig { num_bases: Some(3), ..quick.clone() },
+            DekgIlpConfig { ablation: Ablation::without_semantic(), ..quick.clone() },
+            DekgIlpConfig { hops: 3, gnn_layers: 3, attn_dim: 5, ..quick },
+            DekgIlpConfig::paper(),
+        ] {
+            let model = DekgIlp::new(cfg.clone(), &d, &mut ChaCha8Rng::seed_from_u64(0));
+            let registered: Vec<(String, Vec<usize>)> = model
+                .params
+                .iter()
+                .map(|(_, name, value)| (name.to_owned(), value.shape().dims().to_vec()))
+                .collect();
+            let declared = declared_shapes(&cfg, d.num_relations, registered.len());
+            assert_eq!(declared, Ok(registered), "{cfg:?}");
+        }
     }
 
     /// Restore's config parse on byte-level edits of a real checkpoint's

@@ -114,10 +114,11 @@ impl SubgraphEncoder {
         self.encode_mounted(g, &mounted, sg, train, rng)
     }
 
-    /// Mounts every layer's parameters once; the handles can encode
-    /// many subgraphs on the same tape (batched evaluation — repeated
-    /// mounting copies the per-relation weight stacks per candidate,
-    /// which dominates scoring cost otherwise).
+    /// Every layer's parameter handles on tape `g`; they can encode many
+    /// subgraphs on that tape. The tape keeps one leaf per parameter and
+    /// one basis composition per layer, so mounting again (as
+    /// [`SubgraphEncoder::encode`] does on every call) returns the same
+    /// handles and records nothing new.
     pub fn mount(&self, g: &mut Graph, params: &ParamStore) -> Vec<crate::rgcn::MountedRgcnLayer> {
         self.layers.iter().map(|l| l.mount(g, params)).collect()
     }

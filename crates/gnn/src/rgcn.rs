@@ -19,10 +19,11 @@
 //! On the autograd tape one layer over one subgraph records a fixed
 //! number of ops whatever the relation count: one gather of the source
 //! embeddings shared by messages and attention, one block-row
-//! [`Graph::rel_matmul`] computing every edge's `W_r · h_s` against a
-//! stack of relation weights (with bases, one `[U, B] · [B, in·out]`
-//! matmul first composes the U relations the subgraph uses), one
-//! attention matmul, and one scatter and one add for the aggregate.
+//! [`Graph::rel_matmul`] computing every edge's `W_r · h_s` against the
+//! `[R·in, out]` stack of relation weights, one attention matmul, and
+//! one scatter and one add for the aggregate. With bases, the stack is
+//! composed at mount by one `[R, B] · [B, in·out]` matmul, recorded once
+//! per tape however many subgraphs share it.
 
 use dekg_kg::{BatchedSubgraphs, Subgraph};
 use dekg_tensor::{init, kernels, Graph, ParamId, ParamStore, Tensor, Var};
@@ -125,22 +126,31 @@ impl RgcnLayer {
         &self.cfg
     }
 
-    /// Mounts the layer's parameters onto a tape once, so many
-    /// subgraphs can share them (batched scoring). The mounted handles
-    /// are only valid for `g`.
+    /// The layer's parameters on tape `g`, with the `[R·in, out]`
+    /// relation weight stack ready for [`Graph::rel_matmul`]. With bases,
+    /// all R relations are composed by one `[R, B] · [B, in·out]` matmul
+    /// whose row `r` is `W_r` flattened. The tape keeps one leaf per
+    /// parameter and remembers the composition, so mounting again on the
+    /// same tape records nothing new. The handles are only valid for `g`.
     pub fn mount(&self, g: &mut Graph, params: &ParamStore) -> MountedRgcnLayer {
+        let rel_stack = match &self.rel_weights {
+            RelWeights::Full(w) => g.param(params, *w),
+            RelWeights::Bases { coeffs, bases } => {
+                let coeffs = g.param(params, *coeffs);
+                let bases = g.param(params, *bases);
+                let (rows, cols) = (self.cfg.num_relations * self.cfg.in_dim, self.cfg.out_dim);
+                g.memo("rgcn.rel_stack", &[coeffs, bases], |g| {
+                    let flat = g.matmul(coeffs, bases); // [R, in*out]
+                    g.reshape(flat, [rows, cols])
+                })
+            }
+        };
         MountedRgcnLayer {
             w_self: g.param(params, self.w_self),
             bias: g.param(params, self.bias),
             attn_embed: g.param(params, self.attn_embed),
             w_attn: g.param(params, self.w_attn),
-            rel_weights: match &self.rel_weights {
-                RelWeights::Full(w) => MountedRelWeights::Full(g.param(params, *w)),
-                RelWeights::Bases { coeffs, bases } => MountedRelWeights::Bases {
-                    coeffs: g.param(params, *coeffs),
-                    bases: g.param(params, *bases),
-                },
-            },
+            rel_stack,
         }
     }
 
@@ -194,26 +204,10 @@ impl RgcnLayer {
         let rels: Vec<usize> = edge_ids.iter().map(|&i| sg.edges[i].rel.index()).collect();
 
         // Messages W_r · h_s for every edge in one block-row matmul over
-        // a stack of `[in, out]` relation weights. With full weights the
-        // stack is the parameter itself and an edge's block is its
-        // relation id. With bases, only the U relations this subgraph
-        // uses are composed, in one `[U, B] · [B, in·out]` matmul whose
-        // row u is `W_{used[u]}` flattened, and an edge's block is its
-        // relation's position in `used`.
+        // the mounted stack of `[in, out]` relation weights: an edge's
+        // block is its relation id.
         let h_src = g.gather_rows(h, &srcs);
-        let msgs = match mounted.rel_weights {
-            MountedRelWeights::Full(all) => g.rel_matmul(h_src, all, &rels),
-            MountedRelWeights::Bases { coeffs, bases } => {
-                let mut used = rels.clone();
-                used.dedup(); // rels is sorted: one entry per relation
-                let blocks: Vec<usize> =
-                    rels.iter().map(|r| used.partition_point(|u| u < r)).collect();
-                let c = g.gather_rows(coeffs, &used); // [U, B]
-                let flat = g.matmul(c, bases); // [U, in*out]
-                let stack = g.reshape(flat, [used.len() * self.cfg.in_dim, self.cfg.out_dim]);
-                g.rel_matmul(h_src, stack, &blocks)
-            }
-        }; // [E, out]
+        let msgs = g.rel_matmul(h_src, mounted.rel_stack, &rels); // [E, out]
 
         // Attention for every edge at once: sigmoid([h_s ⊕ h_t ⊕ q_r] · w_att).
         let h_dst = g.gather_rows(h, &dsts);
@@ -265,9 +259,9 @@ impl RgcnLayer {
     ///   of equal relations against that relation's `[in, out]` block, and
     ///   one matmul computes the logits for all of a subgraph's edges;
     /// * with bases, `W_r` here is the `[1, B] · [B, in·out]` product of
-    ///   row `r` of the coefficients. The tape composes all used
-    ///   relations in one `[U, B]` matmul, whose row for `r` is computed
-    ///   by exactly the same loop, so each block has the same bits;
+    ///   row `r` of the coefficients. The tape composes all R relations
+    ///   at mount in one `[R, B]` matmul, whose row `r` is computed by
+    ///   exactly the same loop, so each block has the same bits;
     /// * `agg` is zeroed once and every group scatters into it, groups in
     ///   global ascending relation order, edges within a group in
     ///   (segment, edge id) order. Restricted to one destination row,
@@ -415,13 +409,8 @@ pub struct MountedRgcnLayer {
     bias: Var,
     attn_embed: Var,
     w_attn: Var,
-    rel_weights: MountedRelWeights,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum MountedRelWeights {
-    Full(Var),
-    Bases { coeffs: Var, bases: Var },
+    /// `[R·in, out]`: block `r` is `W_r`.
+    rel_stack: Var,
 }
 
 /// Reusable buffers for [`RgcnLayer::forward_inference_batched`]: the

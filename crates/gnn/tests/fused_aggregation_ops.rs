@@ -3,7 +3,9 @@
 //! `ScatterAddRows` and one aggregate `Add` however many relations the
 //! subgraph holds, and none of them for a subgraph without edges. No
 //! `ConcatRows` joins per-relation message blocks, and the forward
-//! `Matmul` count does not grow with the relation count.
+//! `Matmul` count does not grow with the relation count. With bases, the
+//! relation weights are composed by one `Matmul` per layer at mount, not
+//! per subgraph.
 //!
 //! The kernel profiler's tables are process-global, so this binary
 //! holds a single test.
@@ -53,9 +55,9 @@ fn one_scatter_and_one_aggregate_add_per_layer_per_subgraph() {
         let enc = SubgraphEncoder::new(cfg, "gsm", &mut ps, &mut rng);
 
         let mut g = Graph::new();
-        let mounted = enc.mount(&mut g, &ps);
         prof::reset();
         prof::set_enabled(true);
+        let mounted = enc.mount(&mut g, &ps);
         for sg in &sgs {
             enc.encode_mounted(&mut g, &mounted, sg, true, &mut rng);
         }
@@ -69,11 +71,11 @@ fn one_scatter_and_one_aggregate_add_per_layer_per_subgraph() {
         assert_eq!(calls("ScatterAddRows"), layers * with_edges, "{num_bases:?}");
         assert_eq!(calls("ConcatRows"), 0, "{num_bases:?}");
         // Self term for every subgraph; attention logit and its widening
-        // where edges are, plus one basis composition with bases.
-        let per_edge_subgraph = if num_bases.is_some() { 3 } else { 2 };
+        // where edges are; with bases, one composition per layer at mount.
+        let compositions = if num_bases.is_some() { layers } else { 0 };
         assert_eq!(
             calls("Matmul"),
-            layers * (subgraphs + per_edge_subgraph * with_edges),
+            layers * (subgraphs + 2 * with_edges) + compositions,
             "{num_bases:?}"
         );
         // Self term + bias for every subgraph, + aggregate where edges are.

@@ -3,6 +3,13 @@
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A process-unique store identity (see [`ParamStore::identity`]).
+fn fresh_identity() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Handle to a parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -22,17 +29,49 @@ impl ParamId {
 /// and an [`crate::optim::Optimizer`] applies the resulting
 /// [`GradStore`]. Names are unique and primarily serve
 /// serialization/debugging.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct ParamStore {
     names: Vec<String>,
     values: Vec<Tensor>,
     by_name: HashMap<String, usize>,
+    identity: u64,
+}
+
+impl Default for ParamStore {
+    fn default() -> Self {
+        ParamStore {
+            names: Vec::new(),
+            values: Vec::new(),
+            by_name: HashMap::new(),
+            identity: fresh_identity(),
+        }
+    }
+}
+
+/// A clone is a different store: it gets its own identity, so one tape
+/// never mixes leaves of the original and the copy.
+impl Clone for ParamStore {
+    fn clone(&self) -> Self {
+        ParamStore {
+            names: self.names.clone(),
+            values: self.values.clone(),
+            by_name: self.by_name.clone(),
+            identity: fresh_identity(),
+        }
+    }
 }
 
 impl ParamStore {
     /// An empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// This store's identity, unique within the process: new, cloned
+    /// and deserialized stores each draw a fresh one. A [`crate::Graph`]
+    /// uses it to refuse parameters of a second store.
+    pub(crate) fn identity(&self) -> u64 {
+        self.identity
     }
 
     /// Registers a new parameter.

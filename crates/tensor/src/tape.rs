@@ -113,12 +113,19 @@ struct Node {
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
+    /// The store every parameter on this tape was mounted from (its
+    /// [`ParamStore::identity`]), fixed by the first [`Graph::param`].
+    store: Option<u64>,
+    /// The tape's one leaf per mounted parameter, by `ParamId` index.
+    leaves: Vec<Option<Var>>,
+    /// Nodes recorded by [`Graph::memo`]: `(tag, inputs, output)`.
+    memos: Vec<(&'static str, Vec<Var>, Var)>,
 }
 
 impl Graph {
     /// An empty tape.
     pub fn new() -> Self {
-        Graph { nodes: Vec::new() }
+        Self::default()
     }
 
     /// Number of recorded nodes.
@@ -208,9 +215,57 @@ impl Graph {
     // ---- leaves ----
 
     /// Mounts parameter `id` from `store` as a differentiable leaf.
+    ///
+    /// A tape holds one leaf per parameter: the first call records it
+    /// with the parameter's current value, and every later call returns
+    /// that same leaf, so a step that scores many subgraphs copies each
+    /// weight once and sums all of its gradient into one slot.
+    ///
+    /// # Panics
+    /// If the tape already holds parameters of a different
+    /// [`ParamStore`] (a clone counts as different): `ParamId`s index
+    /// one store, so answering with the first store's leaf would be
+    /// silently wrong.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        let identity = store.identity();
+        assert_eq!(
+            *self.store.get_or_insert(identity),
+            identity,
+            "parameter {:?} mounted from a second ParamStore on one tape",
+            store.name_of(id)
+        );
+        if let Some(&Some(leaf)) = self.leaves.get(id.index()) {
+            return leaf;
+        }
         let t = prof::start();
-        self.push_prof(Op::Leaf(Some(id)), store.get(id).clone(), true, t)
+        let leaf = self.push_prof(Op::Leaf(Some(id)), store.get(id).clone(), true, t);
+        if self.leaves.len() <= id.index() {
+            self.leaves.resize(id.index() + 1, None);
+        }
+        self.leaves[id.index()] = Some(leaf);
+        leaf
+    }
+
+    /// Records `build` once per tape for each `(tag, inputs)` key and
+    /// returns the same node on every later call: for values derived
+    /// from parameter leaves alone, which a step would otherwise
+    /// recompute per use (an R-GCN layer's composed basis weights).
+    /// `build` must be a pure function of `inputs`, and `tag` must name
+    /// that function uniquely.
+    pub fn memo(
+        &mut self,
+        tag: &'static str,
+        inputs: &[Var],
+        build: impl FnOnce(&mut Self) -> Var,
+    ) -> Var {
+        if let Some(&(_, _, out)) =
+            self.memos.iter().find(|(t, key, _)| *t == tag && key.as_slice() == inputs)
+        {
+            return out;
+        }
+        let out = build(self);
+        self.memos.push((tag, inputs.to_vec(), out));
+        out
     }
 
     /// Inserts a non-differentiable constant.
@@ -1140,6 +1195,46 @@ mod tests {
         (ps, id)
     }
 
+    #[test]
+    fn a_second_store_on_one_tape_fails_loudly() {
+        let (first, id) = store_with([1], vec![1.0]);
+        let (second, other) = store_with([1], vec![2.0]);
+        assert_eq!(id, other, "both stores hand out the same first id");
+        for (what, store) in [("a second store", &second), ("a clone", &first.clone())] {
+            let mut g = Graph::new();
+            let leaf = g.param(&first, id);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                g.param(store, id);
+            }))
+            .expect_err(what);
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("mounted from a second ParamStore"), "{what}: {msg}");
+            assert_eq!(g.value(leaf).data(), &[1.0], "{what}");
+            assert_eq!(g.len(), 1, "{what}: nothing recorded");
+        }
+    }
+
+    #[test]
+    fn memo_records_once_per_key() {
+        let (ps, id) = store_with([2], vec![1.0, 2.0]);
+        let mut g = Graph::new();
+        let p = g.param(&ps, id);
+        let mut builds = 0;
+        let mut twice = |g: &mut Graph, tag| {
+            g.memo(tag, &[p], |g| {
+                builds += 1;
+                g.add(p, p)
+            })
+        };
+        let a = twice(&mut g, "double");
+        let b = twice(&mut g, "double");
+        let c = twice(&mut g, "other");
+        assert_eq!(a, b);
+        assert_ne!(a, c);
+        assert_eq!(builds, 2);
+        assert_eq!(g.len(), 3);
+    }
+
     /// Central-difference gradient check for a scalar function of one
     /// parameter tensor.
     #[allow(clippy::needless_pass_by_value)] // call-site ergonomics: literals go in directly
@@ -1468,6 +1563,9 @@ mod tests {
         let mut g = Graph::new();
         let p1 = g.param(&ps, id);
         let p2 = g.param(&ps, id);
+        // One leaf per parameter per tape; both uses sum into its gradient.
+        assert_eq!(p1, p2);
+        assert_eq!(g.len(), 1);
         let s = g.add(p1, p2);
         let loss = g.sum_all(s);
         let grads = g.backward(loss);

@@ -24,7 +24,7 @@ grep -q '"errors": 0' <<< "$lint_json"
 echo "==> cargo test --workspace"
 cargo test -q --workspace --offline
 
-echo "==> tensor unit tests, optimized"
+echo "==> tensor and gnn unit tests, optimized"
 # The suite above is a debug build, so it never runs the autovectorized
 # register paths of the matmul kernels that release binaries execute.
 # Their bit-equality tests against the scalar loops, and the checkpoint
@@ -34,6 +34,11 @@ echo "==> tensor unit tests, optimized"
 # allocation past the input's length).
 cargo test -q --release --offline -p dekg-tensor --lib
 cargo test -q --release --offline -p dekg-tensor --test prop_serialize
+# The encoder's `to_bits` batched == tape pins, in release codegen: the
+# tape composes each layer's basis weights for all relations in one
+# matmul, and these pins are the proof that its forward values keep the
+# batched engine's bits.
+cargo test -q --release --offline -p dekg-gnn
 
 echo "==> repository benchmark self-tests (dekgbench)"
 # The benchmark is its own workspace, so the test above does not reach
