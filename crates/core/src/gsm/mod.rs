@@ -11,7 +11,7 @@
 //! φ_tpo = [ h_G ⊕ h_i ⊕ h_j ⊕ r_k^tpo ] · W
 //! ```
 
-use dekg_gnn::{BatchedEncodeWorkspace, SubgraphEncoder, SubgraphEncoderConfig};
+use dekg_gnn::{BatchedEncodeWorkspace, MountedRgcnLayer, SubgraphEncoder, SubgraphEncoderConfig};
 use dekg_kg::{BatchedSubgraphs, Subgraph};
 use dekg_tensor::{init, kernels, Graph, ParamId, ParamStore, Var};
 use rand::Rng;
@@ -34,6 +34,15 @@ impl InferenceWorkspace {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// Every GSM parameter mounted on one tape, from [`Gsm::mount`]; valid
+/// on that tape and on the tapes forked from it afterwards.
+#[derive(Debug, Clone)]
+pub struct MountedGsm {
+    layers: Vec<MountedRgcnLayer>,
+    rel_tpo: Var,
+    w_out: Var,
 }
 
 /// The GSM parameters: the subgraph encoder plus the topological
@@ -88,12 +97,38 @@ impl Gsm {
         train: bool,
         rng: &mut impl Rng,
     ) -> Var {
-        let enc = self.encoder.encode(g, params, sg, train, rng);
-        let rel_tpo = g.param(params, self.rel_tpo);
-        let r = g.gather_rows(rel_tpo, &[rel.index()]);
+        let mounted = self.mount(g, params);
+        let edge_keep = self.encoder.edge_mask(sg, train, rng);
+        self.score_mounted(g, &mounted, sg, rel, edge_keep.as_deref())
+    }
+
+    /// Every GSM parameter on tape `g`: the encoder's layers (basis
+    /// weights composed), `r^tpo` and `W`. Mounting before
+    /// [`Graph::fork`] lets the forked tapes score with
+    /// [`Gsm::score_mounted`] and no `ParamStore`.
+    pub fn mount(&self, g: &mut Graph, params: &ParamStore) -> MountedGsm {
+        MountedGsm {
+            layers: self.encoder.mount(g, params),
+            rel_tpo: g.param(params, self.rel_tpo),
+            w_out: g.param(params, self.w_out),
+        }
+    }
+
+    /// [`Gsm::score_subgraph`] against mounted parameters with a
+    /// pre-drawn edge mask (see [`SubgraphEncoder::edge_mask`]); it draws
+    /// no randomness.
+    pub fn score_mounted(
+        &self,
+        g: &mut Graph,
+        mounted: &MountedGsm,
+        sg: &Subgraph,
+        rel: dekg_kg::RelationId,
+        edge_keep: Option<&[bool]>,
+    ) -> Var {
+        let enc = self.encoder.encode_mounted(g, &mounted.layers, sg, edge_keep);
+        let r = g.gather_rows(mounted.rel_tpo, &[rel.index()]);
         let cat = g.concat_cols(&[enc.graph, enc.head, enc.tail, r]);
-        let w = g.param(params, self.w_out);
-        g.matmul(cat, w)
+        g.matmul(cat, mounted.w_out)
     }
 
     /// Scores many subgraphs on one tape: the tape mounts the parameters

@@ -11,6 +11,8 @@
 //!    (Eq. 7, sampling via [`crate::clrm::sampling`]),
 //! 5. backpropagate, clip, and apply an Adam step.
 
+mod two_tape;
+
 use crate::clrm::sampling;
 use crate::model::DekgIlp;
 use crate::traits::{InferenceGraph, TrainReport};
@@ -22,6 +24,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 use std::collections::BTreeSet;
 use std::time::Instant;
+use two_tape::{two_tape_step, Helper};
 
 /// Trains `model` on `dataset.original` per its config.
 ///
@@ -51,12 +54,13 @@ pub fn train(model: &mut DekgIlp, dataset: &DekgDataset, rng: &mut dyn RngCore) 
     let epochs_total = reg.counter("dekg_train_epochs_total");
     let loss_gauge = reg.gauge("dekg_train_loss");
     let grad_norm_gauge = reg.gauge("dekg_train_grad_norm");
-    let tape_peak_gauge = reg.gauge("dekg_tape_predicted_peak_bytes");
-    let tape_dead_gauge = reg.gauge("dekg_tape_dead_ops");
-    let tape_hits_total = reg.counter("dekg_tapecheck_cache_hits_total");
-    let tape_misses_total = reg.counter("dekg_tapecheck_cache_misses_total");
-    let mut tape_cache = dekg_tensor::TapeCache::new();
+    let mut tape_report = cfg.tape_report.then(TapeReporter::new);
 
+    // Two cores record and backpropagate each step's subgraph tapes
+    // (`two_tape_step`); one core, or a tape report on every step, keeps
+    // the one-tape step.
+    let helper = (rayon::current_num_threads() > 1 && !cfg.tape_report)
+        .then(|| Helper::spawn(model.gsm().clone()));
     for epoch in 0..cfg.epochs {
         let epoch_started = Instant::now();
         positives.shuffle(rng);
@@ -64,57 +68,28 @@ pub fn train(model: &mut DekgIlp, dataset: &DekgDataset, rng: &mut dyn RngCore) 
         let mut batches = 0usize;
 
         for batch in positives.chunks(cfg.batch_size) {
-            let mut g = Graph::new();
-            let parts =
-                batch_loss_parts(&mut g, model, dataset, &train_graph, &sampler, batch, rng);
-            let loss = parts.total;
-
-            let loss_val = g.value(loss).item();
-            debug_assert!(loss_val.is_finite(), "non-finite training loss");
-
-            if cfg.gradcheck_every > 0 && step % cfg.gradcheck_every == 0 {
-                let diags = g.diff_check(loss, Some(model.params()));
-                for d in &diags {
-                    dekg_obs::log_warn!("gradcheck[step {step}]: {d}");
+            let prepared = prepare_batch(model, &sampler, &train_graph, batch, rng);
+            let gradcheck = cfg.gradcheck_every > 0 && step % cfg.gradcheck_every == 0;
+            let (g, parts, mut grads) = match &helper {
+                Some(helper) if !gradcheck => {
+                    two_tape_step(helper, model, dataset, &train_graph, prepared, rng)
                 }
-                assert!(
-                    diags.iter().all(|d| d.severity != Severity::Error),
-                    "interpreter disagrees with kernels at step {step}; training aborted"
-                );
-            }
-
-            if cfg.tape_report {
-                let observed = parts.observed_vars();
-                let misses_before = tape_cache.misses();
-                let (errors, peak_bytes, dead_ops, findings) = {
-                    let report = tape_cache.analyze(&g, loss, &observed, Some(model.params()));
-                    let findings: Vec<String> =
-                        report.diagnostics.iter().map(ToString::to_string).collect();
-                    (
-                        report.errors(),
-                        report.plan.peak_live_bytes,
-                        report.dead_nodes + report.unconsumed_ops.len(),
-                        findings,
-                    )
-                };
-                if tape_cache.misses() > misses_before {
-                    tape_misses_total.inc();
-                    // Fresh structure: surface its findings once.
-                    for d in &findings {
-                        dekg_obs::log_warn!("tapecheck[step {step}]: {d}");
+                _ => {
+                    let mut g = Graph::new();
+                    let parts =
+                        record_prepared(&mut g, model, dataset, &train_graph, &prepared, rng);
+                    if gradcheck {
+                        gradcheck_step(&g, parts.total, model, step);
                     }
-                } else {
-                    tape_hits_total.inc();
+                    if let Some(report) = &mut tape_report {
+                        report.check(&g, &parts, model, step);
+                    }
+                    let grads = g.backward(parts.total);
+                    (g, parts, grads)
                 }
-                assert!(
-                    errors == 0,
-                    "tape static analysis found {errors} error(s) at step {step}; training aborted"
-                );
-                tape_peak_gauge.set(peak_bytes as f64);
-                tape_dead_gauge.set(dead_ops as f64);
-            }
-
-            let mut grads = g.backward(loss);
+            };
+            let loss_val = g.value(parts.total).item();
+            debug_assert!(loss_val.is_finite(), "non-finite training loss");
             let grad_norm = grads.clip_global_norm(cfg.grad_clip);
             opt.step(model.params_mut(), &grads);
 
@@ -171,12 +146,77 @@ pub fn train(model: &mut DekgIlp, dataset: &DekgDataset, rng: &mut dyn RngCore) 
             dekg_obs::span::emit_span_event(Some(epoch as u64));
         }
     }
+    if let Some(helper) = helper {
+        helper.join();
+    }
 
     TrainReport {
         epochs: cfg.epochs,
         final_loss,
         initial_loss,
         seconds: started.elapsed().as_secs_f64(),
+    }
+}
+
+/// The `gradcheck_every` spot check: re-executes the step's tape in the
+/// f64 reference interpreter and aborts training on divergence.
+fn gradcheck_step(g: &Graph, loss: Var, model: &DekgIlp, step: usize) {
+    let diags = g.diff_check(loss, Some(model.params()));
+    for d in &diags {
+        dekg_obs::log_warn!("gradcheck[step {step}]: {d}");
+    }
+    assert!(
+        diags.iter().all(|d| d.severity != Severity::Error),
+        "interpreter disagrees with kernels at step {step}; training aborted"
+    );
+}
+
+/// The `tape_report` pass: every step's tape through the cached static
+/// analyzer, its findings logged once per structure and its memory plan
+/// exported as gauges.
+struct TapeReporter {
+    cache: dekg_tensor::TapeCache,
+    peak: dekg_obs::metrics::Gauge,
+    dead: dekg_obs::metrics::Gauge,
+    hits: dekg_obs::metrics::Counter,
+    misses: dekg_obs::metrics::Counter,
+}
+
+impl TapeReporter {
+    fn new() -> Self {
+        let reg = dekg_obs::metrics::global();
+        TapeReporter {
+            cache: dekg_tensor::TapeCache::new(),
+            peak: reg.gauge("dekg_tape_predicted_peak_bytes"),
+            dead: reg.gauge("dekg_tape_dead_ops"),
+            hits: reg.counter("dekg_tapecheck_cache_hits_total"),
+            misses: reg.counter("dekg_tapecheck_cache_misses_total"),
+        }
+    }
+
+    fn check(&mut self, g: &Graph, parts: &BatchLossBreakdown, model: &DekgIlp, step: usize) {
+        let observed = parts.observed_vars();
+        let misses_before = self.cache.misses();
+        let report = self.cache.analyze(g, parts.total, &observed, Some(model.params()));
+        let errors = report.errors();
+        let (peak_bytes, dead_ops) =
+            (report.plan.peak_live_bytes, report.dead_nodes + report.unconsumed_ops.len());
+        let findings: Vec<String> = report.diagnostics.iter().map(ToString::to_string).collect();
+        if self.cache.misses() > misses_before {
+            self.misses.inc();
+            // Fresh structure: surface its findings once.
+            for d in &findings {
+                dekg_obs::log_warn!("tapecheck[step {step}]: {d}");
+            }
+        } else {
+            self.hits.inc();
+        }
+        assert!(
+            errors == 0,
+            "tape static analysis found {errors} error(s) at step {step}; training aborted"
+        );
+        self.peak.set(peak_bytes as f64);
+        self.dead.set(dead_ops as f64);
     }
 }
 
@@ -486,24 +526,43 @@ pub fn record_prepared(
     prepared: &PreparedBatch,
     rng: &mut impl Rng,
 ) -> BatchLossBreakdown {
-    let cfg = model.config();
-    let batch = &prepared.batch;
-
-    // φ_sem over both sides in one tape.
-    let (sem_pos, sem_neg) = match model.clrm() {
-        Some(clrm) => {
-            let p = clrm.score(g, model.params(), &train_graph.tables, &prepared.pos_rep);
-            let n = clrm.score(g, model.params(), &train_graph.tables, &prepared.negs);
-            (Some(p), Some(n))
-        }
-        None => (None, None),
-    };
+    let (sem_pos, sem_neg) = record_sem(g, model, train_graph, &prepared.pos_rep, &prepared.negs);
 
     // φ_tpo per triple over the pre-extracted subgraphs.
     let gsm = model.gsm();
     let tpo_pos = score_extracted(model, gsm, &prepared.pos_rep, &prepared.pos_subgraphs, g, rng);
     let tpo_neg = score_extracted(model, gsm, &prepared.negs, &prepared.neg_subgraphs, g, rng);
+    let sides = [(sem_pos, tpo_pos), (sem_neg, tpo_neg)];
+    record_loss(g, model, dataset, train_graph, &prepared.batch, sides, rng)
+}
 
+/// φ_sem of both sides on one tape, or `None`s without the CLRM.
+fn record_sem(
+    g: &mut Graph,
+    model: &DekgIlp,
+    train_graph: &InferenceGraph,
+    pos_rep: &[Triple],
+    negs: &[Triple],
+) -> (Option<Var>, Option<Var>) {
+    let Some(clrm) = model.clrm() else { return (None, None) };
+    let p = clrm.score(g, model.params(), &train_graph.tables, pos_rep);
+    let n = clrm.score(g, model.params(), &train_graph.tables, negs);
+    (Some(p), Some(n))
+}
+
+/// The Eq. 14 + Eq. 7 tail of a step's tape, from the positive and the
+/// negative side's `(φ_sem, φ_tpo)`: margin loss, the diagnostic means,
+/// and the contrastive term (whose pair sampling draws from `rng`).
+fn record_loss(
+    g: &mut Graph,
+    model: &DekgIlp,
+    dataset: &DekgDataset,
+    train_graph: &InferenceGraph,
+    batch: &[Triple],
+    [(sem_pos, tpo_pos), (sem_neg, tpo_neg)]: [(Option<Var>, Var); 2],
+    rng: &mut impl Rng,
+) -> BatchLossBreakdown {
+    let cfg = model.config();
     let phi_pos = combine(g, sem_pos, tpo_pos);
     let phi_neg = combine(g, sem_neg, tpo_neg);
     let margin = g.margin_ranking_loss(phi_pos, phi_neg, cfg.margin);

@@ -111,7 +111,19 @@ impl SubgraphEncoder {
         rng: &mut impl Rng,
     ) -> EncodedSubgraph {
         let mounted = self.mount(g, params);
-        self.encode_mounted(g, &mounted, sg, train, rng)
+        let edge_keep = self.edge_mask(sg, train, rng);
+        self.encode_mounted(g, &mounted, sg, edge_keep.as_deref())
+    }
+
+    /// The edge-dropout mask one training encode of `sg` applies, shared
+    /// by all layers as in GraIL: one `f32` draw per edge from `rng`, in
+    /// edge order, keeping an edge with probability `1 - β`. `None`
+    /// (and no draw) outside training or with `β = 0`.
+    pub fn edge_mask(&self, sg: &Subgraph, train: bool, rng: &mut impl Rng) -> Option<Vec<bool>> {
+        (train && self.cfg.edge_dropout > 0.0).then(|| {
+            let keep = 1.0 - self.cfg.edge_dropout;
+            (0..sg.num_edges()).map(|_| rng.gen::<f32>() < keep).collect()
+        })
     }
 
     /// Every layer's parameter handles on tape `g`; they can encode many
@@ -123,29 +135,22 @@ impl SubgraphEncoder {
         self.layers.iter().map(|l| l.mount(g, params)).collect()
     }
 
-    /// Encodes one subgraph against pre-mounted layer handles.
+    /// Encodes one subgraph against pre-mounted layer handles, edges
+    /// masked by `edge_keep` (see [`SubgraphEncoder::edge_mask`]). It
+    /// draws no randomness, so a step can draw every mask first and
+    /// encode on any thread.
     pub fn encode_mounted(
         &self,
         g: &mut Graph,
         mounted: &[crate::rgcn::MountedRgcnLayer],
         sg: &Subgraph,
-        train: bool,
-        rng: &mut impl Rng,
+        edge_keep: Option<&[bool]>,
     ) -> EncodedSubgraph {
         assert_eq!(mounted.len(), self.layers.len(), "mounted handle count mismatch");
         let feats = node_features(sg, self.cfg.hops, self.cfg.labeling);
         let mut h = g.constant(feats);
-
-        // One edge-dropout mask shared by all layers, as in GraIL.
-        let edge_keep: Option<Vec<bool>> = if train && self.cfg.edge_dropout > 0.0 {
-            let keep = 1.0 - self.cfg.edge_dropout;
-            Some((0..sg.num_edges()).map(|_| rng.gen::<f32>() < keep).collect())
-        } else {
-            None
-        };
-
         for (layer, m) in self.layers.iter().zip(mounted) {
-            h = layer.forward_mounted(g, m, sg, h, edge_keep.as_deref());
+            h = layer.forward_mounted(g, m, sg, h, edge_keep);
         }
 
         let graph_vec = g.mean_axis0(h); // [dim]

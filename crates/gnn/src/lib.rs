@@ -20,4 +20,4 @@ pub use encoder::{
     BatchedEncodeWorkspace, EncodedSubgraph, SubgraphEncoder, SubgraphEncoderConfig,
 };
 pub use labeling::{node_features, LabelingMode};
-pub use rgcn::{BatchedLayerScratch, RgcnLayer, RgcnLayerConfig};
+pub use rgcn::{BatchedLayerScratch, MountedRgcnLayer, RgcnLayer, RgcnLayerConfig};

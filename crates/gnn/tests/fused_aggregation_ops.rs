@@ -59,7 +59,7 @@ fn one_scatter_and_one_aggregate_add_per_layer_per_subgraph() {
         prof::set_enabled(true);
         let mounted = enc.mount(&mut g, &ps);
         for sg in &sgs {
-            enc.encode_mounted(&mut g, &mounted, sg, true, &mut rng);
+            enc.encode_mounted(&mut g, &mounted, sg, None);
         }
         prof::set_enabled(false);
 

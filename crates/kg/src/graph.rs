@@ -23,11 +23,6 @@ impl KnowledgeGraph {
         Self::default()
     }
 
-    /// Wraps existing parts.
-    pub fn from_parts(vocab: Vocab, store: TripleStore) -> Self {
-        KnowledgeGraph { vocab, store }
-    }
-
     /// Adds a fact by names, interning as needed. Returns the triple.
     pub fn add_fact(&mut self, head: &str, rel: &str, tail: &str) -> Triple {
         let h = self.vocab.intern_entity(head);
@@ -59,11 +54,6 @@ impl KnowledgeGraph {
     /// The triple store.
     pub fn store(&self) -> &TripleStore {
         &self.store
-    }
-
-    /// Mutable triple store access.
-    pub fn store_mut(&mut self) -> &mut TripleStore {
-        &mut self.store
     }
 
     /// Renders a triple with names for display.

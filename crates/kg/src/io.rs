@@ -21,18 +21,37 @@ pub enum ParseError {
     BadLine {
         /// 1-based line number.
         line: usize,
-        /// The offending content.
+        /// The start of the offending content (whitespace-trimmed), at
+        /// most [`BAD_LINE_PREFIX_BYTES`] long, cut at a char boundary.
         content: String,
+        /// The offending line's full length in bytes.
+        bytes: usize,
     },
+}
+
+/// The most bytes of an offending line a [`ParseError::BadLine`] keeps:
+/// a file of one multi-megabyte line must not be copied into the error.
+pub const BAD_LINE_PREFIX_BYTES: usize = 256;
+
+impl ParseError {
+    fn bad_line(line: usize, raw: &str) -> Self {
+        let trimmed = raw.trim();
+        let mut end = trimmed.len().min(BAD_LINE_PREFIX_BYTES);
+        while !trimmed.is_char_boundary(end) {
+            end -= 1;
+        }
+        ParseError::BadLine { line, content: trimmed[..end].to_owned(), bytes: raw.len() }
+    }
 }
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParseError::Io(e) => write!(f, "io error: {e}"),
-            ParseError::BadLine { line, content } => {
-                write!(f, "line {line}: expected 'head\\trel\\ttail', got {content:?}")
-            }
+            ParseError::BadLine { line, content, bytes } => write!(
+                f,
+                "line {line} ({bytes} bytes): expected 'head\\trel\\ttail', got {content:?}"
+            ),
         }
     }
 }
@@ -61,7 +80,7 @@ pub fn read_triples(reader: impl Read, vocab: &mut Vocab) -> Result<TripleStore,
         let (Some(h), Some(r), Some(t), None) =
             (fields.next(), fields.next(), fields.next(), fields.next())
         else {
-            return Err(ParseError::BadLine { line: i + 1, content: trimmed.to_owned() });
+            return Err(ParseError::bad_line(i + 1, &line));
         };
         let head = vocab.intern_entity(h);
         let rel = vocab.intern_relation(r);
@@ -114,6 +133,22 @@ mod tests {
         let mut vocab = Vocab::new();
         let store = read_triples(input.as_bytes(), &mut vocab).unwrap();
         assert_eq!(store.len(), 1);
+    }
+
+    /// A multi-megabyte line yields an error (and a message) of bounded
+    /// size that still says how long the line was.
+    #[test]
+    fn a_huge_bad_line_gives_a_bounded_error() {
+        // Multi-byte chars, so a byte cut could land inside one.
+        let huge = format!("a\tr\t{}\tb\n", "é".repeat(2 << 20));
+        let mut vocab = Vocab::new();
+        let err = read_triples(huge.as_bytes(), &mut vocab).unwrap_err();
+        let ParseError::BadLine { line, content, bytes } = &err else { panic!("{err}") };
+        assert_eq!((*line, *bytes), (1, huge.len() - 1));
+        assert!(content.len() <= BAD_LINE_PREFIX_BYTES && content.starts_with("a\tr\t"));
+        let shown = err.to_string();
+        assert!(shown.len() < 2 * BAD_LINE_PREFIX_BYTES, "{} bytes of message", shown.len());
+        assert!(shown.starts_with(&format!("line 1 ({} bytes)", huge.len() - 1)), "{shown}");
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn read_request_within(stream: &mut TcpStream, budget: Duration) -> Result<Reque
     let target = parts.next().ok_or("request line has no target")?;
     let path = target.split('?').next().unwrap_or(target).to_owned();
 
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     let mut headers = 0;
     loop {
         let line = read_head_line(&mut reader, "header")?;
@@ -79,17 +79,24 @@ fn read_request_within(stream: &mut TcpStream, budget: Duration) -> Result<Reque
         if headers > MAX_HEADERS {
             return Err(format!("more than {MAX_HEADERS} header lines"));
         }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad Content-Length {:?}", value.trim()))?;
-            } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                return Err("chunked transfer encoding is not supported".to_owned());
+        let (name, value) =
+            line.split_once(':').ok_or_else(|| format!("header line without a colon: {line:?}"))?;
+        if name.eq_ignore_ascii_case("content-length") {
+            let length = value
+                .trim()
+                .parse()
+                .map_err(|_| format!("bad Content-Length {:?}", value.trim()))?;
+            // A repeat must agree: which of two lengths frames the body
+            // is exactly what a request smuggler exploits.
+            if content_length.is_some_and(|first| first != length) {
+                return Err("conflicting Content-Length headers".to_owned());
             }
+            content_length = Some(length);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err("chunked transfer encoding is not supported".to_owned());
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES} cap"));
     }
@@ -403,6 +410,33 @@ mod tests {
         handle.join().unwrap();
         assert!(response.starts_with("HTTP/1.1 400 "), "response: {response:?}");
         assert!(response.contains("header lines"), "response: {response:?}");
+    }
+
+    /// Sends a POST with `headers` and a 2-byte body, returning the
+    /// response.
+    fn post_with_headers(headers: &str) -> String {
+        let (addr, handle) = echo_server();
+        let raw = format!("POST /rank HTTP/1.1\r\n{headers}\r\nab");
+        let response = raw_exchange(addr, raw.as_bytes());
+        handle.join().unwrap();
+        response
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_a_400() {
+        let response = post_with_headers("Content-Length: 2\r\nContent-Length: 1\r\n");
+        assert!(response.starts_with("HTTP/1.1 400 "), "response: {response:?}");
+        assert!(response.contains("conflicting Content-Length"), "response: {response:?}");
+        // A repeat of the same length frames the body unambiguously.
+        let response = post_with_headers("Content-Length: 2\r\ncontent-length: 2\r\n");
+        assert!(response.ends_with("POST /rank 2"), "response: {response:?}");
+    }
+
+    #[test]
+    fn header_line_without_colon_is_a_400() {
+        let response = post_with_headers("Content-Length: 2\r\nX-Broken header\r\n");
+        assert!(response.starts_with("HTTP/1.1 400 "), "response: {response:?}");
+        assert!(response.contains("without a colon"), "response: {response:?}");
     }
 
     #[test]

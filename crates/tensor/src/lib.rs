@@ -58,6 +58,6 @@ pub use interp::DiffBudget;
 pub use params::{GradStore, ParamId, ParamStore};
 pub use prof::{OpProfile, ProfSnapshot, TapeProfile};
 pub use shape::Shape;
-pub use tape::{Graph, Var};
+pub use tape::{Backward, Deferred, Graph, SharedGrads, Var};
 pub use tapecheck::{MemoryPlan, TapeCache, TapeReport};
 pub use tensor::Tensor;

@@ -336,6 +336,32 @@ mod tests {
         assert!(snap.total_calls() >= 6);
     }
 
+    /// The byte column counts what the kernels read: a `RelMatmul` one
+    /// `[k, n]` weight block per run (not the whole stack) and a
+    /// `GatherRows` the gathered rows (not the whole table).
+    #[test]
+    fn byte_column_bills_the_blocks_and_rows_read() {
+        let _guard = lock();
+        reset();
+        set_enabled(true);
+        let mut g = Graph::new();
+        // x [3, 2] against a stack of four [2, 2] blocks; runs (b0, b0), (b2).
+        let x = g.constant(Tensor::ones([3, 2]));
+        let w = g.constant(Tensor::ones([8, 2]));
+        let _ = g.rel_matmul(x, w, &[0, 0, 2]);
+        // Three rows of a [5, 3] table, one of them twice.
+        let table = g.constant(Tensor::ones([5, 3]));
+        let _ = g.gather_rows(table, &[1, 1, 4]);
+        set_enabled(false);
+
+        let snap = snapshot();
+        let bytes = |name: &str| snap.ops.iter().find(|o| o.op == name).map(|o| o.forward_bytes);
+        // x 6 + two blocks of 4 + output 6 floats.
+        assert_eq!(bytes("RelMatmul"), Some(20 * 4));
+        // three rows of 3 read + 9 written.
+        assert_eq!(bytes("GatherRows"), Some(18 * 4));
+    }
+
     #[test]
     fn profiling_does_not_change_values() {
         let _guard = lock();

@@ -19,6 +19,7 @@ use crate::prof;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,7 +113,15 @@ struct Node {
 /// See the [module documentation](self) for the usage pattern.
 #[derive(Default)]
 pub struct Graph {
+    /// Nodes recorded before [`Graph::fork`], read-only and shared with
+    /// every tape forked at that point; empty on a tape never forked.
+    shared: Arc<Vec<Node>>,
+    /// Nodes recorded on this tape; node `i` here has index
+    /// `shared.len() + i`.
     nodes: Vec<Node>,
+    /// Whether this tape came out of [`Graph::fork`]: it may use the
+    /// shared leaves but mount no parameter of its own.
+    child: bool,
     /// The store every parameter on this tape was mounted from (its
     /// [`ParamStore::identity`]), fixed by the first [`Graph::param`].
     store: Option<u64>,
@@ -128,72 +137,103 @@ impl Graph {
         Self::default()
     }
 
-    /// Number of recorded nodes.
+    /// Number of recorded nodes, the shared ones of a forked tape
+    /// included.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.shared.len() + self.nodes.len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len() == 0
+    }
+
+    /// The node behind `v`, shared or recorded here.
+    fn node(&self, v: Var) -> &Node {
+        self.node_at(v.0)
+    }
+
+    fn node_at(&self, id: usize) -> &Node {
+        match id.checked_sub(self.shared.len()) {
+            Some(own) => &self.nodes[own],
+            None => &self.shared[id],
+        }
     }
 
     /// The forward value of `v`.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        &self.node(v).value
     }
 
     /// The shape of `v`'s value.
     pub fn shape(&self, v: Var) -> &Shape {
-        self.nodes[v.0].value.shape()
+        self.node(v).value.shape()
     }
 
     fn push(&mut self, op: Op, value: Tensor, needs_grad: bool) -> Var {
-        let id = self.nodes.len();
+        let id = self.len();
         self.nodes.push(Node { op, value, needs_grad });
         Var(id)
     }
 
     /// [`push`](Self::push) plus per-op profiling: when `t` is armed
     /// (see [`crate::prof::set_enabled`]), folds the op's elapsed wall
-    /// time and the bytes it moved — every input read plus the output
-    /// written, 4 bytes per f32 — into the global profile tables. The
-    /// timer is armed by the op constructor *before* it computes the
+    /// time and the bytes it moved — what its kernel reads plus the
+    /// output written, 4 bytes per f32 — into the global profile tables.
+    /// The timer is armed by the op constructor *before* it computes the
     /// forward value, so the elapsed time covers the kernel itself.
     fn push_prof(&mut self, op: Op, value: Tensor, needs_grad: bool, t: prof::ProfTimer) -> Var {
         if let Some(elapsed) = t.finish() {
-            let mut bytes = value.numel() as u64 * 4;
-            crate::check::for_each_input(&op, |v| {
-                bytes += self.nodes[v.0].value.numel() as u64 * 4;
-            });
+            let bytes = (value.numel() + self.floats_read(&op)) as u64 * 4;
             prof::record_forward(crate::check::op_ordinal(&op), bytes, elapsed);
         }
         self.push(op, value, needs_grad)
     }
 
+    /// The f32s `op`'s forward kernel reads: every input in full, except
+    /// that a `RelMatmul` reads one `[k, n]` weight block per run of
+    /// equal blocks and a `GatherRows` reads only the rows it gathers.
+    fn floats_read(&self, op: &Op) -> usize {
+        match op {
+            Op::RelMatmul { x, w, blocks } => {
+                let xv = &self.node(*x).value;
+                let (_, k) = xv.shape().as_matrix();
+                let (_, n) = self.node(*w).value.shape().as_matrix();
+                xv.numel() + block_runs(blocks).count() * k * n
+            }
+            Op::GatherRows(a, idx) => idx.len() * self.node(*a).value.shape().as_matrix().1,
+            _ => {
+                let mut floats = 0;
+                crate::check::for_each_input(op, |v| floats += self.node(v).value.numel());
+                floats
+            }
+        }
+    }
+
     fn needs(&self, v: Var) -> bool {
-        self.nodes[v.0].needs_grad
+        self.node(v).needs_grad
     }
 
     /// The recorded op of a node (analyzer access).
     pub(crate) fn node_op(&self, v: Var) -> &Op {
-        &self.nodes[v.0].op
+        &self.node(v).op
     }
 
     /// The recorded forward value of a node (analyzer access).
     pub(crate) fn node_value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        &self.node(v).value
     }
 
     /// True when `v` is a non-parameter leaf — a value the analyzer may
     /// treat as provably constant.
     pub(crate) fn is_constant(&self, v: Var) -> bool {
-        matches!(self.nodes[v.0].op, Op::Leaf(None))
+        let node = self.node(v);
+        matches!(node.op, Op::Leaf(None)) && !node.needs_grad
     }
 
     /// Whether gradients flow through node `v` (analyzer access).
     pub(crate) fn node_needs_grad(&self, v: Var) -> bool {
-        self.nodes[v.0].needs_grad
+        self.node(v).needs_grad
     }
 
     /// Runs the centralized shape inference of [`crate::check`] for an
@@ -206,7 +246,7 @@ impl Graph {
             // The would-be arena index of the op being validated is
             // nodes.len(): provenance for the panic message.
             Err(e) => {
-                let e = e.with_context(crate::check::op_context(self, op, self.nodes.len(), None));
+                let e = e.with_context(crate::check::op_context(self, op, self.len(), None));
                 panic!("{e}")
             }
         }
@@ -237,6 +277,11 @@ impl Graph {
         if let Some(&Some(leaf)) = self.leaves.get(id.index()) {
             return leaf;
         }
+        assert!(
+            !self.child,
+            "parameter {:?} was not mounted before the fork: a forked tape mounts nothing",
+            store.name_of(id)
+        );
         let t = prof::start();
         let leaf = self.push_prof(Op::Leaf(Some(id)), store.get(id).clone(), true, t);
         if self.leaves.len() <= id.index() {
@@ -268,6 +313,57 @@ impl Graph {
         out
     }
 
+    /// Freezes everything recorded so far into a prefix shared with the
+    /// returned child tape, so that two threads can record and
+    /// backpropagate on one mounted model at once.
+    ///
+    /// The child sees this tape's nodes, parameter leaves and
+    /// [`Graph::memo`] results under their own `Var`s and records its own
+    /// nodes after them; it mounts no new parameter. Both tapes keep
+    /// recording independently, and a `Var` recorded after the fork is
+    /// only meaningful on the tape that recorded it. Calling `fork` again
+    /// with nothing recorded since returns another child of the same
+    /// prefix; a tape forks at one point only.
+    ///
+    /// A forked step backpropagates this tape's own nodes first
+    /// ([`Graph::backward_to_fork`], whose [`Backward::grad`] seeds the
+    /// children), then each child ([`Graph::backward_forked`] writes the
+    /// shared slots at once, [`Graph::backward_deferred`] holds them back
+    /// for [`Deferred::replay`]), then the shared prefix
+    /// ([`Graph::finish_backward`]). When children `C1 … Ck` make their
+    /// shared writes in the order `Ck … C1`, the gradients equal, bit
+    /// for bit, [`Graph::backward`] over one tape that recorded the
+    /// prefix, then `C1 … Ck`, then this tape's own nodes, with each
+    /// [`Graph::input`] standing for the child outputs it copies: every
+    /// gradient slot receives the same writes, through the same kernel
+    /// calls, in the same order.
+    ///
+    /// # Panics
+    /// If this tape was forked before and recorded nodes since.
+    pub fn fork(&mut self) -> Graph {
+        if !self.nodes.is_empty() {
+            assert!(self.shared.is_empty(), "a tape forks at one point only");
+            self.shared = Arc::new(std::mem::take(&mut self.nodes));
+        }
+        Graph {
+            shared: Arc::clone(&self.shared),
+            nodes: Vec::new(),
+            child: true,
+            store: self.store,
+            leaves: self.leaves.clone(),
+            memos: self.memos.clone(),
+        }
+    }
+
+    /// Inserts `value` as a differentiable leaf that is not a parameter:
+    /// the seam where values computed on another tape (a forked child's
+    /// outputs) enter this one. Its gradient is not propagated anywhere;
+    /// read it from [`Backward::grad`] after [`Graph::backward_to_fork`].
+    pub fn input(&mut self, value: Tensor) -> Var {
+        let t = prof::start();
+        self.push_prof(Op::Leaf(None), value, true, t)
+    }
+
     /// Inserts a non-differentiable constant.
     pub fn constant(&mut self, value: Tensor) -> Var {
         let t = prof::start();
@@ -286,7 +382,7 @@ impl Graph {
         let t = prof::start();
         let op = Op::Add(a, b);
         self.expect_shape(&op, None);
-        let v = self.nodes[a.0].value.add(&self.nodes[b.0].value);
+        let v = self.node(a).value.add(&self.node(b).value);
         let ng = self.needs(a) || self.needs(b);
         self.push_prof(op, v, ng, t)
     }
@@ -296,8 +392,8 @@ impl Graph {
         let t = prof::start();
         let op = Op::Sub(a, b);
         let shape = self.expect_shape(&op, None);
-        let av = &self.nodes[a.0].value;
-        let bv = &self.nodes[b.0].value;
+        let av = &self.node(a).value;
+        let bv = &self.node(b).value;
         let data = av.data().iter().zip(bv.data()).map(|(&x, &y)| x - y).collect();
         let v = Tensor::from_vec(shape, data);
         let ng = self.needs(a) || self.needs(b);
@@ -309,7 +405,7 @@ impl Graph {
         let t = prof::start();
         let op = Op::Mul(a, b);
         self.expect_shape(&op, None);
-        let v = self.nodes[a.0].value.mul(&self.nodes[b.0].value);
+        let v = self.node(a).value.mul(&self.node(b).value);
         let ng = self.needs(a) || self.needs(b);
         self.push_prof(op, v, ng, t)
     }
@@ -319,8 +415,8 @@ impl Graph {
         let t = prof::start();
         let op = Op::Div(a, b);
         let shape = self.expect_shape(&op, None);
-        let av = &self.nodes[a.0].value;
-        let bv = &self.nodes[b.0].value;
+        let av = &self.node(a).value;
+        let bv = &self.node(b).value;
         let data = av.data().iter().zip(bv.data()).map(|(&x, &y)| x / y).collect();
         let v = Tensor::from_vec(shape, data);
         let ng = self.needs(a) || self.needs(b);
@@ -330,7 +426,7 @@ impl Graph {
     /// Elementwise negation.
     pub fn neg(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.scale(-1.0);
+        let v = self.node(a).value.scale(-1.0);
         let ng = self.needs(a);
         self.push_prof(Op::Neg(a), v, ng, t)
     }
@@ -338,7 +434,7 @@ impl Graph {
     /// Adds a scalar to every element.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.map(|x| x + s);
+        let v = self.node(a).value.map(|x| x + s);
         let ng = self.needs(a);
         self.push_prof(Op::AddScalar(a, s), v, ng, t)
     }
@@ -346,7 +442,7 @@ impl Graph {
     /// Multiplies every element by a scalar.
     pub fn mul_scalar(&mut self, a: Var, s: f32) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.scale(s);
+        let v = self.node(a).value.scale(s);
         let ng = self.needs(a);
         self.push_prof(Op::MulScalar(a, s), v, ng, t)
     }
@@ -364,7 +460,7 @@ impl Graph {
         let t = prof::start();
         let op = Op::Matmul(a, b);
         self.expect_shape(&op, None);
-        let v = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
+        let v = self.node(a).value.matmul(&self.node(b).value);
         let ng = self.needs(a) || self.needs(b);
         self.push_prof(op, v, ng, t)
     }
@@ -389,10 +485,10 @@ impl Graph {
         let t = prof::start();
         let op = Op::RelMatmul { x, w, blocks: blocks.to_vec() };
         let shape = self.expect_shape(&op, None);
-        let (_, k) = self.nodes[x.0].value.shape().as_matrix();
+        let (_, k) = self.node(x).value.shape().as_matrix();
         let (_, n) = shape.as_matrix();
-        let xv = self.nodes[x.0].value.data();
-        let wv = self.nodes[w.0].value.data();
+        let xv = self.node(x).value.data();
+        let wv = self.node(w).value.data();
         let mut out = vec![0.0; shape.numel()];
         for (start, end, b) in block_runs(blocks) {
             kernels::matmul(
@@ -417,7 +513,7 @@ impl Graph {
         let t = prof::start();
         let op = Op::GatherRows(a, idx.to_vec());
         let shape = self.expect_shape(&op, None);
-        let av = &self.nodes[a.0].value;
+        let av = &self.node(a).value;
         let (_, cols) = av.shape().as_matrix();
         let mut data = Vec::with_capacity(idx.len() * cols);
         for &i in idx {
@@ -444,7 +540,7 @@ impl Graph {
         let shape = shape.into();
         let op = Op::GatherFlat(a, idx.to_vec());
         let shape = self.expect_shape(&op, Some(&shape));
-        let av = self.nodes[a.0].value.data();
+        let av = self.node(a).value.data();
         let data = idx.iter().map(|&i| if i == PAD { 0.0 } else { av[i] }).collect();
         let v = Tensor::from_vec(shape, data);
         let ng = self.needs(a);
@@ -457,7 +553,7 @@ impl Graph {
         let shape = shape.into();
         let op = Op::Reshape(a);
         let shape = self.expect_shape(&op, Some(&shape));
-        let v = self.nodes[a.0].value.clone().reshape(shape);
+        let v = self.node(a).value.clone().reshape(shape);
         let ng = self.needs(a);
         self.push_prof(op, v, ng, t)
     }
@@ -470,7 +566,7 @@ impl Graph {
         let shape = self.expect_shape(&op, None);
         let mut data = Vec::with_capacity(shape.numel());
         for &p in parts {
-            data.extend_from_slice(self.nodes[p.0].value.data());
+            data.extend_from_slice(self.node(p).value.data());
         }
         let v = Tensor::from_vec(shape, data);
         let ng = parts.iter().any(|&p| self.needs(p));
@@ -486,7 +582,7 @@ impl Graph {
         let mut data = Vec::with_capacity(rows * total);
         for i in 0..rows {
             for &p in parts {
-                data.extend_from_slice(self.nodes[p.0].value.row(i));
+                data.extend_from_slice(self.node(p).value.row(i));
             }
         }
         let v = Tensor::from_vec(shape, data);
@@ -499,7 +595,7 @@ impl Graph {
     /// Sum of all elements (scalar output).
     pub fn sum_all(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = Tensor::scalar(self.nodes[a.0].value.sum());
+        let v = Tensor::scalar(self.node(a).value.sum());
         let ng = self.needs(a);
         self.push_prof(Op::SumAll(a), v, ng, t)
     }
@@ -510,7 +606,7 @@ impl Graph {
     /// pass divides by `numel().max(1)`), matching the interpreter.
     pub fn mean_all(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = Tensor::scalar(self.nodes[a.0].value.mean());
+        let v = Tensor::scalar(self.node(a).value.mean());
         let ng = self.needs(a);
         self.push_prof(Op::MeanAll(a), v, ng, t)
     }
@@ -520,7 +616,7 @@ impl Graph {
         let t = prof::start();
         let op = Op::SumAxis0(a);
         self.expect_shape(&op, None);
-        let av = &self.nodes[a.0].value;
+        let av = &self.node(a).value;
         let (m, n) = av.shape().as_matrix();
         let mut out = vec![0.0; n];
         for i in 0..m {
@@ -535,7 +631,7 @@ impl Graph {
         let t = prof::start();
         let op = Op::SumAxis1(a);
         self.expect_shape(&op, None);
-        let av = &self.nodes[a.0].value;
+        let av = &self.node(a).value;
         let (m, _n) = av.shape().as_matrix();
         let out: Vec<f32> = (0..m).map(|i| av.row(i).iter().sum()).collect();
         let ng = self.needs(a);
@@ -550,7 +646,7 @@ impl Graph {
         let t = prof::start();
         let op = Op::MeanAxis0(a);
         self.expect_shape(&op, None);
-        let av = &self.nodes[a.0].value;
+        let av = &self.node(a).value;
         let (m, n) = av.shape().as_matrix();
         let mut out = vec![0.0; n];
         for i in 0..m {
@@ -569,7 +665,7 @@ impl Graph {
     /// `max(0, x)` elementwise.
     pub fn relu(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.map(|x| x.max(0.0));
+        let v = self.node(a).value.map(|x| x.max(0.0));
         let ng = self.needs(a);
         self.push_prof(Op::Relu(a), v, ng, t)
     }
@@ -577,7 +673,7 @@ impl Graph {
     /// Logistic sigmoid elementwise.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.node(a).value.map(|x| 1.0 / (1.0 + (-x).exp()));
         let ng = self.needs(a);
         self.push_prof(Op::Sigmoid(a), v, ng, t)
     }
@@ -585,7 +681,7 @@ impl Graph {
     /// Hyperbolic tangent elementwise.
     pub fn tanh(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.map(f32::tanh);
+        let v = self.node(a).value.map(f32::tanh);
         let ng = self.needs(a);
         self.push_prof(Op::Tanh(a), v, ng, t)
     }
@@ -593,7 +689,7 @@ impl Graph {
     /// Elementwise square root (inputs are expected non-negative).
     pub fn sqrt(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.map(f32::sqrt);
+        let v = self.node(a).value.map(f32::sqrt);
         let ng = self.needs(a);
         self.push_prof(Op::Sqrt(a), v, ng, t)
     }
@@ -601,7 +697,7 @@ impl Graph {
     /// Elementwise `exp`.
     pub fn exp(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.map(f32::exp);
+        let v = self.node(a).value.map(f32::exp);
         let ng = self.needs(a);
         self.push_prof(Op::Exp(a), v, ng, t)
     }
@@ -609,7 +705,7 @@ impl Graph {
     /// Elementwise natural log.
     pub fn ln(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.map(f32::ln);
+        let v = self.node(a).value.map(f32::ln);
         let ng = self.needs(a);
         self.push_prof(Op::Ln(a), v, ng, t)
     }
@@ -617,7 +713,7 @@ impl Graph {
     /// Elementwise sine.
     pub fn sin(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.map(f32::sin);
+        let v = self.node(a).value.map(f32::sin);
         let ng = self.needs(a);
         self.push_prof(Op::Sin(a), v, ng, t)
     }
@@ -625,7 +721,7 @@ impl Graph {
     /// Elementwise cosine.
     pub fn cos(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.map(f32::cos);
+        let v = self.node(a).value.map(f32::cos);
         let ng = self.needs(a);
         self.push_prof(Op::Cos(a), v, ng, t)
     }
@@ -633,7 +729,7 @@ impl Graph {
     /// Elementwise square.
     pub fn square(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.map(|x| x * x);
+        let v = self.node(a).value.map(|x| x * x);
         let ng = self.needs(a);
         self.push_prof(Op::Square(a), v, ng, t)
     }
@@ -641,7 +737,7 @@ impl Graph {
     /// Elementwise absolute value.
     pub fn abs(&mut self, a: Var) -> Var {
         let t = prof::start();
-        let v = self.nodes[a.0].value.map(f32::abs);
+        let v = self.node(a).value.map(f32::abs);
         let ng = self.needs(a);
         self.push_prof(Op::Abs(a), v, ng, t)
     }
@@ -656,7 +752,7 @@ impl Graph {
         let t = prof::start();
         let keep = 1.0 - rate;
         let scale = 1.0 / keep;
-        let av = &self.nodes[a.0].value;
+        let av = &self.node(a).value;
         let mask: Vec<f32> =
             (0..av.numel()).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }).collect();
         let data = av.data().iter().zip(&mask).map(|(&x, &m)| x * m).collect();
@@ -672,7 +768,7 @@ impl Graph {
         let t = prof::start();
         let op = Op::StackScalars(parts.to_vec());
         let shape = self.expect_shape(&op, None);
-        let data: Vec<f32> = parts.iter().map(|&p| self.nodes[p.0].value.data()[0]).collect();
+        let data: Vec<f32> = parts.iter().map(|&p| self.node(p).value.data()[0]).collect();
         let ng = parts.iter().any(|&p| self.needs(p));
         self.push_prof(op, Tensor::from_vec(shape, data), ng, t)
     }
@@ -687,7 +783,7 @@ impl Graph {
         let t = prof::start();
         let op = Op::ScatterAddRows { src, idx: idx.to_vec(), rows };
         let shape = self.expect_shape(&op, None);
-        let sv = &self.nodes[src.0].value;
+        let sv = &self.node(src).value;
         let mut out = Tensor::zeros(shape);
         for (r, &target) in idx.iter().enumerate() {
             kernels::add_assign(out.row_mut(target), sv.row(r));
@@ -701,7 +797,7 @@ impl Graph {
         let t = prof::start();
         let op = Op::BroadcastRow(a, rows);
         let shape = self.expect_shape(&op, None);
-        let av = &self.nodes[a.0].value;
+        let av = &self.node(a).value;
         let mut data = Vec::with_capacity(shape.numel());
         for _ in 0..rows {
             data.extend_from_slice(av.data());
@@ -752,11 +848,23 @@ impl Graph {
     /// # Panics
     /// If `loss` is not a scalar (1-element) value.
     pub fn backward(&self, loss: Var) -> GradStore {
+        let seed = self.loss_seed(loss);
+        let mut grads = empty_slots(self.len());
+        grads[loss.0] = Some(seed);
+        let mut store = GradStore::new();
+        let mut slots = Slots::whole(&mut grads);
+        self.sweep(0..loss.0 + 1, &mut slots, &mut store);
+        store
+    }
+
+    /// The scalar `loss`'s seed gradient `1`, after the debug build's
+    /// tapecheck shape pass.
+    fn loss_seed(&self, loss: Var) -> Tensor {
         assert_eq!(
-            self.nodes[loss.0].value.numel(),
+            self.node(loss).value.numel(),
             1,
             "backward() needs a scalar loss, got {}",
-            self.nodes[loss.0].value.shape()
+            self.node(loss).value.shape()
         );
         // In debug builds, run tapecheck's shape pass before sweeping so
         // corruption fails loudly at its origin node rather than as
@@ -765,51 +873,204 @@ impl Graph {
         if let Some(d) = crate::tapecheck::abstract_shapes(self, loss).1.first() {
             panic!("tape linter: {d}");
         }
-        let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
-        grads[loss.0] = Some(Tensor::from_vec(self.nodes[loss.0].value.shape().clone(), vec![1.0]));
+        Tensor::from_vec(self.node(loss).value.shape().clone(), vec![1.0])
+    }
 
+    /// The first part of a forked step's backward (see [`Graph::fork`]):
+    /// sweeps this tape's own nodes from the scalar `loss`, writing the
+    /// shared nodes' gradient slots at once, and stops at the fork
+    /// point. The returned [`Backward`] holds the [`Graph::input`]
+    /// gradients that seed the children; the [`SharedGrads`] go through
+    /// the children and then to [`Graph::finish_backward`].
+    ///
+    /// # Panics
+    /// If `loss` is not a scalar recorded on this tape after the fork.
+    pub fn backward_to_fork(&self, loss: Var) -> (Backward, SharedGrads) {
+        let base = self.shared.len();
+        assert!(loss.0 >= base, "the loss must be recorded after the fork");
+        let seed = self.loss_seed(loss);
+        let mut own = empty_slots(self.nodes.len());
+        let mut shared = empty_slots(base);
+        own[loss.0 - base] = Some(seed);
         let mut store = GradStore::new();
-        for id in (0..=loss.0).rev() {
-            if !self.nodes[id].needs_grad {
-                continue;
-            }
-            let Some(grad) = grads[id].take() else { continue };
-            let t = prof::start();
-            self.backprop_node(id, &grad, &mut grads, &mut store);
-            if let Some(elapsed) = t.finish() {
-                prof::record_backward(
-                    crate::check::op_ordinal(&self.nodes[id].op),
-                    grad.numel() as u64 * 4,
-                    elapsed,
-                );
-            }
-        }
+        let mut slots = Slots {
+            base,
+            own: &mut own,
+            shared: &mut shared,
+            shared_writes: true,
+            part: None,
+            own_writes: true,
+        };
+        self.sweep(base..loss.0 + 1, &mut slots, &mut store);
+        (Backward { base, own, store }, SharedGrads(shared))
+    }
+
+    /// The last part of a forked step's backward: sweeps the shared
+    /// prefix once every tape has written its slots, returning the
+    /// parameter gradients of the whole step.
+    ///
+    /// # Panics
+    /// If `sweep` or `shared` belong to another fork point.
+    pub fn finish_backward(&self, sweep: Backward, shared: SharedGrads) -> GradStore {
+        let base = self.shared.len();
+        assert!(sweep.base == base && shared.0.len() == base, "gradients of another fork point");
+        let Backward { mut store, .. } = sweep;
+        let mut grads = shared.0;
+        let mut slots = Slots::whole(&mut grads);
+        self.sweep(0..base, &mut slots, &mut store);
         store
     }
 
-    fn accum(&self, grads: &mut [Option<Tensor>], v: Var, delta: &Tensor) {
-        if !self.nodes[v.0].needs_grad {
+    /// Backpropagates a forked child from `seeds` (each output's
+    /// gradient, typically read off the parent's [`Backward::grad`]),
+    /// writing the shared slots in `shared` at once, in sweep order. The
+    /// sweep consumes the tape, freeing each value once no rule can read
+    /// it again.
+    ///
+    /// # Panics
+    /// If a seed is not a node of this tape or has another shape, or
+    /// `shared` belongs to another fork point.
+    pub fn backward_forked(self, seeds: Vec<(Var, Tensor)>, shared: &mut SharedGrads) {
+        self.sweep_child(seeds, Some(&mut shared.0));
+    }
+
+    /// [`Graph::backward_forked`] with every write into a shared slot
+    /// held back: each node that makes one keeps its incoming gradient
+    /// (and the values its rule reads) in the returned [`Deferred`],
+    /// whose [`Deferred::replay`] makes those writes later, once the
+    /// tapes earlier in sweep order have made theirs. Writes into this
+    /// tape's own slots happen now.
+    ///
+    /// # Panics
+    /// As [`Graph::backward_forked`].
+    pub fn backward_deferred(self, seeds: Vec<(Var, Tensor)>) -> Deferred {
+        self.sweep_child(seeds, None)
+    }
+
+    fn sweep_child(
+        mut self,
+        seeds: Vec<(Var, Tensor)>,
+        shared: Option<&mut [Option<Tensor>]>,
+    ) -> Deferred {
+        let base = self.shared.len();
+        if let Some(s) = &shared {
+            assert_eq!(s.len(), base, "gradients of another fork point");
+        }
+        let mut held = Vec::new();
+        let mut own = empty_slots(self.nodes.len());
+        let mut keep = vec![false; self.nodes.len()];
+        let shared_writes = shared.is_some();
+        let shared = shared.unwrap_or_default();
+        let mut slots =
+            Slots { base, own: &mut own, shared, shared_writes, part: None, own_writes: true };
+        // A child holds no parameter leaf of its own (it mounts nothing).
+        let mut no_leaves = GradStore::new();
+        for (v, grad) in seeds {
+            assert!(v.0 >= base && v.0 < self.len(), "seed {v:?} is not a node of this tape");
+            assert_eq!(grad.shape(), self.node(v).value.shape(), "seed shape of {v:?}");
+            // The rule `stack_scalars` applies to its parts.
+            self.accum_owned(&mut slots, v, grad);
+        }
+        for id in (base..self.len()).rev() {
+            if let Some(grad) = self.sweep_node(id, &mut slots, &mut no_leaves) {
+                if !shared_writes && self.writes_shared(id) {
+                    // The replay reads this node's value and its inputs'.
+                    keep[id - base] = true;
+                    crate::check::for_each_input(&self.node_at(id).op, |v| {
+                        if let Some(own) = v.0.checked_sub(base) {
+                            keep[own] = true;
+                        }
+                    });
+                    held.push((id, grad));
+                }
+            }
+            // Every rule that reads this value has run: its consumers
+            // come later on the tape, and its own rule just ran.
+            if !keep[id - base] {
+                self.nodes[id - base].value.release();
+            }
+        }
+        Deferred { tape: self, held }
+    }
+
+    /// Runs the reverse sweep over nodes `ids`, last first.
+    fn sweep(&self, ids: std::ops::Range<usize>, slots: &mut Slots<'_>, store: &mut GradStore) {
+        for id in ids.rev() {
+            self.sweep_node(id, slots, store);
+        }
+    }
+
+    /// Runs node `id`'s backward rule when its slot holds a gradient,
+    /// returning that gradient. Input leaves keep theirs for
+    /// [`Backward::grad`].
+    fn sweep_node(
+        &self,
+        id: usize,
+        slots: &mut Slots<'_>,
+        store: &mut GradStore,
+    ) -> Option<Tensor> {
+        let node = self.node_at(id);
+        if !node.needs_grad || matches!(node.op, Op::Leaf(None)) {
+            return None;
+        }
+        let grad = slots.own[id - slots.base].take()?;
+        let t = prof::start();
+        self.backprop_node(id, &grad, slots, store);
+        if let Some(elapsed) = t.finish() {
+            prof::record_backward(
+                crate::check::op_ordinal(&node.op),
+                grad.numel() as u64 * 4,
+                elapsed,
+            );
+        }
+        Some(grad)
+    }
+
+    /// Whether node `id`'s rule writes a shared node's slot.
+    fn writes_shared(&self, id: usize) -> bool {
+        let mut shared = false;
+        crate::check::for_each_input(&self.node_at(id).op, |v| {
+            shared |= v.0 < self.shared.len() && self.node(v).needs_grad;
+        });
+        shared
+    }
+
+    /// Whether this sweep writes `v`'s gradient now.
+    fn takes(&self, slots: &Slots<'_>, v: Var) -> bool {
+        self.node(v).needs_grad && slots.routes(v)
+    }
+
+    fn accum(&self, slots: &mut Slots<'_>, v: Var, delta: &Tensor) {
+        if !self.takes(slots, v) {
             return;
         }
-        match &mut grads[v.0] {
+        match slots.get(v) {
             Some(g) => kernels::add_assign(g.data_mut(), delta.data()),
             slot @ None => *slot = Some(delta.clone()),
         }
     }
 
     /// The gradient slot of `v`, zero-filled first if still empty, for
-    /// backward rules that accumulate in place.
-    fn grad_slot<'s>(&self, grads: &'s mut [Option<Tensor>], v: Var) -> &'s mut Tensor {
-        grads[v.0].get_or_insert_with(|| Tensor::zeros(self.nodes[v.0].value.shape().clone()))
+    /// backward rules that accumulate in place. Callers check
+    /// [`Graph::takes`] first.
+    fn grad_slot<'s>(&self, slots: &'s mut Slots<'_>, v: Var) -> &'s mut Tensor {
+        slots.get(v).get_or_insert_with(|| Tensor::zeros(self.node(v).value.shape().clone()))
     }
 
     /// Like [`accum`] but takes ownership, avoiding a copy when the slot
     /// is empty.
-    fn accum_owned(&self, grads: &mut [Option<Tensor>], v: Var, delta: Tensor) {
-        if !self.nodes[v.0].needs_grad {
+    fn accum_owned(&self, slots: &mut Slots<'_>, v: Var, delta: Tensor) {
+        self.accum_with(slots, v, || delta);
+    }
+
+    /// [`Graph::accum_owned`] of a delta computed only when this sweep
+    /// writes `v`.
+    fn accum_with(&self, slots: &mut Slots<'_>, v: Var, delta: impl FnOnce() -> Tensor) {
+        if !self.takes(slots, v) {
             return;
         }
-        match &mut grads[v.0] {
+        let delta = delta();
+        match slots.get(v) {
             Some(g) => kernels::add_assign(g.data_mut(), delta.data()),
             slot @ None => *slot = Some(delta),
         }
@@ -819,76 +1080,74 @@ impl Graph {
         &self,
         id: usize,
         grad: &Tensor,
-        grads: &mut [Option<Tensor>],
+        slots: &mut Slots<'_>,
         store: &mut GradStore,
     ) {
-        let node = &self.nodes[id];
+        let node = self.node_at(id);
         match &node.op {
-            Op::Leaf(Some(pid)) => store.accumulate(*pid, grad),
+            Op::Leaf(Some(pid)) => {
+                store.accumulate(*pid, grad);
+            }
             Op::Leaf(None) => {}
             Op::Add(a, b) => {
-                self.accum(grads, *a, grad);
-                self.accum(grads, *b, grad);
+                self.accum(slots, *a, grad);
+                self.accum(slots, *b, grad);
             }
             Op::Sub(a, b) => {
-                self.accum(grads, *a, grad);
-                self.accum_owned(grads, *b, grad.scale(-1.0));
+                self.accum(slots, *a, grad);
+                self.accum_with(slots, *b, || grad.scale(-1.0));
             }
             Op::Mul(a, b) => {
-                if self.needs(*a) {
-                    self.accum_owned(grads, *a, grad.mul(&self.nodes[b.0].value));
-                }
-                if self.needs(*b) {
-                    self.accum_owned(grads, *b, grad.mul(&self.nodes[a.0].value));
-                }
+                self.accum_with(slots, *a, || grad.mul(&self.node(*b).value));
+                self.accum_with(slots, *b, || grad.mul(&self.node(*a).value));
             }
             Op::Div(a, b) => {
-                let bv = &self.nodes[b.0].value;
-                if self.needs(*a) {
+                let bv = &self.node(*b).value;
+                self.accum_with(slots, *a, || {
                     let d = grad.data().iter().zip(bv.data()).map(|(&g, &y)| g / y).collect();
-                    self.accum_owned(grads, *a, Tensor::from_vec(grad.shape().clone(), d));
-                }
-                if self.needs(*b) {
-                    let av = &self.nodes[a.0].value;
+                    Tensor::from_vec(grad.shape().clone(), d)
+                });
+                self.accum_with(slots, *b, || {
+                    let av = &self.node(*a).value;
                     let d = grad
                         .data()
                         .iter()
                         .zip(av.data().iter().zip(bv.data()))
                         .map(|(&g, (&x, &y))| -g * x / (y * y))
                         .collect();
-                    self.accum_owned(grads, *b, Tensor::from_vec(grad.shape().clone(), d));
-                }
+                    Tensor::from_vec(grad.shape().clone(), d)
+                });
             }
-            Op::Neg(a) => self.accum_owned(grads, *a, grad.scale(-1.0)),
-            Op::AddScalar(a, _) => self.accum(grads, *a, grad),
-            Op::MulScalar(a, s) => self.accum_owned(grads, *a, grad.scale(*s)),
+            Op::Neg(a) => self.accum_with(slots, *a, || grad.scale(-1.0)),
+            Op::AddScalar(a, _) => self.accum(slots, *a, grad),
+            Op::MulScalar(a, s) => self.accum_with(slots, *a, || grad.scale(*s)),
             // The matmul rules accumulate straight into the operands'
             // gradient slots: zeros are allocated only for an empty
             // slot, never a fresh product buffer per call.
             Op::Matmul(a, b) => {
-                let av = &self.nodes[a.0].value;
-                let bv = &self.nodes[b.0].value;
+                let av = &self.node(*a).value;
+                let bv = &self.node(*b).value;
                 let (m, k) = av.shape().as_matrix();
                 let (_, n) = bv.shape().as_matrix();
-                if self.needs(*a) {
+                if self.takes(slots, *a) {
                     // dA += dC * B^T
-                    let da = self.grad_slot(grads, *a);
+                    let da = self.grad_slot(slots, *a);
                     kernels::matmul_a_bt_acc(grad.data(), bv.data(), da.data_mut(), m, n, k);
                 }
-                if self.needs(*b) {
+                if self.takes(slots, *b) {
                     // dB += A^T * dC
-                    let db = self.grad_slot(grads, *b);
+                    let db = self.grad_slot(slots, *b);
                     kernels::matmul_at_b_acc(av.data(), grad.data(), db.data_mut(), k, m, n);
                 }
             }
             Op::RelMatmul { x, w, blocks } => {
-                let xv = self.nodes[x.0].value.data();
-                let wv = self.nodes[w.0].value.data();
-                let (_, k) = self.nodes[x.0].value.shape().as_matrix();
+                let xv = self.node(*x).value.data();
+                let wv = self.node(*w).value.data();
+                let (_, k) = self.node(*x).value.shape().as_matrix();
                 let (_, n) = grad.shape().as_matrix();
-                if self.needs(*x) {
+                if self.takes(slots, *x) {
                     // dX[run] += dC[run] * W_b^T
-                    let dx = self.grad_slot(grads, *x).data_mut();
+                    let dx = self.grad_slot(slots, *x).data_mut();
                     for (start, end, b) in block_runs(blocks) {
                         kernels::matmul_a_bt_acc(
                             &grad.data()[start * n..end * n],
@@ -900,9 +1159,9 @@ impl Graph {
                         );
                     }
                 }
-                if self.needs(*w) {
+                if self.takes(slots, *w) {
                     // dW_b += X[run]^T * dC[run]
-                    let dw = self.grad_slot(grads, *w).data_mut();
+                    let dw = self.grad_slot(slots, *w).data_mut();
                     for (start, end, b) in block_runs(blocks) {
                         kernels::matmul_at_b_acc(
                             &xv[start * k..end * k],
@@ -919,36 +1178,34 @@ impl Graph {
                 // Sparse: each gathered row's gradient goes straight into
                 // the input's slot. Zeros are allocated only when the slot
                 // is still empty, never a dense copy per call.
-                if self.needs(*a) {
-                    let da = self.grad_slot(grads, *a);
+                if self.takes(slots, *a) {
+                    let da = self.grad_slot(slots, *a);
                     for (r, &i) in idx.iter().enumerate() {
                         kernels::add_assign(da.row_mut(i), grad.row(r));
                     }
                 }
             }
-            Op::GatherFlat(a, idx) => {
-                let mut da = Tensor::zeros(self.nodes[a.0].value.shape().clone());
+            Op::GatherFlat(a, idx) => self.accum_with(slots, *a, || {
+                let mut da = Tensor::zeros(self.node(*a).value.shape().clone());
                 let dd = da.data_mut();
                 for (pos, &i) in idx.iter().enumerate() {
                     if i != PAD {
                         dd[i] += grad.data()[pos];
                     }
                 }
-                self.accum_owned(grads, *a, da);
-            }
-            Op::Reshape(a) => {
-                let da = grad.clone().reshape(self.nodes[a.0].value.shape().clone());
-                self.accum_owned(grads, *a, da);
-            }
+                da
+            }),
+            Op::Reshape(a) => self.accum_with(slots, *a, || {
+                grad.clone().reshape(self.node(*a).value.shape().clone())
+            }),
             Op::ConcatRows(parts) => {
                 let mut off = 0;
                 for &p in parts {
-                    let pv = &self.nodes[p.0].value;
+                    let pv = &self.node(p).value;
                     let n = pv.numel();
-                    if self.needs(p) {
-                        let slice = grad.data()[off..off + n].to_vec();
-                        self.accum_owned(grads, p, Tensor::from_vec(pv.shape().clone(), slice));
-                    }
+                    self.accum_with(slots, p, || {
+                        Tensor::from_vec(pv.shape().clone(), grad.data()[off..off + n].to_vec())
+                    });
                     off += n;
                 }
             }
@@ -956,39 +1213,34 @@ impl Graph {
                 let (rows, _) = grad.shape().as_matrix();
                 let mut col_off = 0;
                 for &p in parts {
-                    let pv = &self.nodes[p.0].value;
-                    let (_, c) = pv.shape().as_matrix();
-                    if self.needs(p) {
+                    let (_, c) = self.node(p).value.shape().as_matrix();
+                    self.accum_with(slots, p, || {
                         let mut dp = Tensor::zeros([rows, c]);
                         for i in 0..rows {
                             dp.row_mut(i).copy_from_slice(&grad.row(i)[col_off..col_off + c]);
                         }
-                        self.accum_owned(grads, p, dp);
-                    }
+                        dp
+                    });
                     col_off += c;
                 }
             }
-            Op::SumAll(a) => {
-                let g = grad.item();
-                let da = Tensor::full(self.nodes[a.0].value.shape().clone(), g);
-                self.accum_owned(grads, *a, da);
-            }
-            Op::MeanAll(a) => {
-                let n = self.nodes[a.0].value.numel().max(1);
-                let g = grad.item() / n as f32;
-                let da = Tensor::full(self.nodes[a.0].value.shape().clone(), g);
-                self.accum_owned(grads, *a, da);
-            }
-            Op::SumAxis0(a) => {
-                let (m, n) = self.nodes[a.0].value.shape().as_matrix();
+            Op::SumAll(a) => self.accum_with(slots, *a, || {
+                Tensor::full(self.node(*a).value.shape().clone(), grad.item())
+            }),
+            Op::MeanAll(a) => self.accum_with(slots, *a, || {
+                let n = self.node(*a).value.numel().max(1);
+                Tensor::full(self.node(*a).value.shape().clone(), grad.item() / n as f32)
+            }),
+            Op::SumAxis0(a) => self.accum_with(slots, *a, || {
+                let (m, n) = self.node(*a).value.shape().as_matrix();
                 let mut da = Tensor::zeros([m, n]);
                 for i in 0..m {
                     da.row_mut(i).copy_from_slice(grad.data());
                 }
-                self.accum_owned(grads, *a, da);
-            }
-            Op::SumAxis1(a) => {
-                let (m, n) = self.nodes[a.0].value.shape().as_matrix();
+                da
+            }),
+            Op::SumAxis1(a) => self.accum_with(slots, *a, || {
+                let (m, n) = self.node(*a).value.shape().as_matrix();
                 let mut da = Tensor::zeros([m, n]);
                 for i in 0..m {
                     let g = grad.data()[i];
@@ -996,10 +1248,10 @@ impl Graph {
                         *x = g;
                     }
                 }
-                self.accum_owned(grads, *a, da);
-            }
-            Op::MeanAxis0(a) => {
-                let (m, n) = self.nodes[a.0].value.shape().as_matrix();
+                da
+            }),
+            Op::MeanAxis0(a) => self.accum_with(slots, *a, || {
+                let (m, n) = self.node(*a).value.shape().as_matrix();
                 let inv = if m == 0 { 0.0 } else { 1.0 / m as f32 };
                 let mut da = Tensor::zeros([m, n]);
                 for i in 0..m {
@@ -1007,107 +1259,249 @@ impl Graph {
                         *x = g * inv;
                     }
                 }
-                self.accum_owned(grads, *a, da);
-            }
-            Op::Relu(a) => {
-                let av = &self.nodes[a.0].value;
-                let d = grad
-                    .data()
-                    .iter()
-                    .zip(av.data())
-                    .map(|(&g, &x)| if x > 0.0 { g } else { 0.0 })
-                    .collect();
-                self.accum_owned(grads, *a, Tensor::from_vec(grad.shape().clone(), d));
-            }
-            Op::Sigmoid(a) => {
-                let yv = &node.value;
-                let d =
-                    grad.data().iter().zip(yv.data()).map(|(&g, &y)| g * y * (1.0 - y)).collect();
-                self.accum_owned(grads, *a, Tensor::from_vec(grad.shape().clone(), d));
-            }
-            Op::Tanh(a) => {
-                let yv = &node.value;
-                let d =
-                    grad.data().iter().zip(yv.data()).map(|(&g, &y)| g * (1.0 - y * y)).collect();
-                self.accum_owned(grads, *a, Tensor::from_vec(grad.shape().clone(), d));
-            }
-            Op::Sqrt(a) => {
-                let yv = &node.value;
-                let d = grad
-                    .data()
-                    .iter()
-                    .zip(yv.data())
-                    .map(|(&g, &y)| if y > 0.0 { g * 0.5 / y } else { 0.0 })
-                    .collect();
-                self.accum_owned(grads, *a, Tensor::from_vec(grad.shape().clone(), d));
-            }
+                da
+            }),
+            Op::Relu(a) => self.accum_with(slots, *a, || {
+                self.zip_grad(grad, &self.node(*a).value, |g, x| if x > 0.0 { g } else { 0.0 })
+            }),
+            Op::Sigmoid(a) => self.accum_with(slots, *a, || {
+                self.zip_grad(grad, &node.value, |g, y| g * y * (1.0 - y))
+            }),
+            Op::Tanh(a) => self.accum_with(slots, *a, || {
+                self.zip_grad(grad, &node.value, |g, y| g * (1.0 - y * y))
+            }),
+            Op::Sqrt(a) => self.accum_with(slots, *a, || {
+                self.zip_grad(grad, &node.value, |g, y| if y > 0.0 { g * 0.5 / y } else { 0.0 })
+            }),
             Op::Exp(a) => {
-                let yv = &node.value;
-                let d = grad.data().iter().zip(yv.data()).map(|(&g, &y)| g * y).collect();
-                self.accum_owned(grads, *a, Tensor::from_vec(grad.shape().clone(), d));
+                self.accum_with(slots, *a, || self.zip_grad(grad, &node.value, |g, y| g * y));
             }
-            Op::Ln(a) => {
-                let av = &self.nodes[a.0].value;
-                let d = grad.data().iter().zip(av.data()).map(|(&g, &x)| g / x).collect();
-                self.accum_owned(grads, *a, Tensor::from_vec(grad.shape().clone(), d));
-            }
-            Op::Sin(a) => {
-                let av = &self.nodes[a.0].value;
-                let d = grad.data().iter().zip(av.data()).map(|(&g, &x)| g * x.cos()).collect();
-                self.accum_owned(grads, *a, Tensor::from_vec(grad.shape().clone(), d));
-            }
-            Op::Cos(a) => {
-                let av = &self.nodes[a.0].value;
-                let d = grad.data().iter().zip(av.data()).map(|(&g, &x)| -g * x.sin()).collect();
-                self.accum_owned(grads, *a, Tensor::from_vec(grad.shape().clone(), d));
-            }
-            Op::Square(a) => {
-                let av = &self.nodes[a.0].value;
-                let d = grad.data().iter().zip(av.data()).map(|(&g, &x)| 2.0 * g * x).collect();
-                self.accum_owned(grads, *a, Tensor::from_vec(grad.shape().clone(), d));
-            }
-            Op::Abs(a) => {
-                let av = &self.nodes[a.0].value;
-                let d = grad
-                    .data()
-                    .iter()
-                    .zip(av.data())
-                    .map(|(&g, &x)| if x >= 0.0 { g } else { -g })
-                    .collect();
-                self.accum_owned(grads, *a, Tensor::from_vec(grad.shape().clone(), d));
-            }
-            Op::Dropout(a, mask) => {
+            Op::Ln(a) => self
+                .accum_with(slots, *a, || self.zip_grad(grad, &self.node(*a).value, |g, x| g / x)),
+            Op::Sin(a) => self.accum_with(slots, *a, || {
+                self.zip_grad(grad, &self.node(*a).value, |g, x| g * x.cos())
+            }),
+            Op::Cos(a) => self.accum_with(slots, *a, || {
+                self.zip_grad(grad, &self.node(*a).value, |g, x| -g * x.sin())
+            }),
+            Op::Square(a) => self.accum_with(slots, *a, || {
+                self.zip_grad(grad, &self.node(*a).value, |g, x| 2.0 * g * x)
+            }),
+            Op::Abs(a) => self.accum_with(slots, *a, || {
+                self.zip_grad(grad, &self.node(*a).value, |g, x| if x >= 0.0 { g } else { -g })
+            }),
+            Op::Dropout(a, mask) => self.accum_with(slots, *a, || {
                 let d = grad.data().iter().zip(mask).map(|(&g, &m)| g * m).collect();
-                self.accum_owned(grads, *a, Tensor::from_vec(grad.shape().clone(), d));
-            }
+                Tensor::from_vec(grad.shape().clone(), d)
+            }),
             Op::StackScalars(parts) => {
                 for (i, &p) in parts.iter().enumerate() {
-                    if self.needs(p) {
-                        let dp = Tensor::from_vec(
-                            self.nodes[p.0].value.shape().clone(),
-                            vec![grad.data()[i]],
-                        );
-                        self.accum_owned(grads, p, dp);
-                    }
+                    self.accum_with(slots, p, || {
+                        Tensor::from_vec(self.node(p).value.shape().clone(), vec![grad.data()[i]])
+                    });
                 }
             }
-            Op::ScatterAddRows { src, idx, rows: _ } => {
-                let (e, cols) = self.nodes[src.0].value.shape().as_matrix();
+            Op::ScatterAddRows { src, idx, rows: _ } => self.accum_with(slots, *src, || {
+                let (e, cols) = self.node(*src).value.shape().as_matrix();
                 let mut ds = Tensor::zeros([e, cols]);
                 for (r, &target) in idx.iter().enumerate() {
                     ds.row_mut(r).copy_from_slice(grad.row(target));
                 }
-                self.accum_owned(grads, *src, ds);
-            }
-            Op::BroadcastRow(a, rows) => {
-                let d = self.nodes[a.0].value.numel();
+                ds
+            }),
+            Op::BroadcastRow(a, rows) => self.accum_with(slots, *a, || {
+                let d = self.node(*a).value.numel();
                 let mut da = Tensor::zeros([d]);
                 for r in 0..*rows {
                     kernels::add_assign(da.data_mut(), grad.row(r));
                 }
-                self.accum_owned(grads, *a, da);
+                da
+            }),
+        }
+    }
+
+    /// `f(grad, value)` elementwise, shaped like `grad`: the pointwise
+    /// backward rules.
+    fn zip_grad(&self, grad: &Tensor, value: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        let d = grad.data().iter().zip(value.data()).map(|(&g, &x)| f(g, x)).collect();
+        Tensor::from_vec(grad.shape().clone(), d)
+    }
+}
+
+/// `n` empty gradient slots.
+fn empty_slots(n: usize) -> Vec<Option<Tensor>> {
+    (0..n).map(|_| None).collect()
+}
+
+/// Where one reverse sweep reads and writes gradient slots.
+struct Slots<'a> {
+    /// Index of the first node `own` covers.
+    base: usize,
+    /// Slots of nodes `base..`.
+    own: &'a mut [Option<Tensor>],
+    /// Slots of the shared nodes `..base`.
+    shared: &'a mut [Option<Tensor>],
+    /// False while [`Graph::backward_deferred`] holds writes into the
+    /// shared slots back.
+    shared_writes: bool,
+    /// When set, only the shared slots whose mark equals the flag are
+    /// written ([`Deferred::replay_part`]).
+    part: Option<(&'a [bool], bool)>,
+    /// False while [`Deferred::replay`] makes held-back writes: the sweep
+    /// that held them made the same nodes' writes into `own`.
+    own_writes: bool,
+}
+
+impl<'a> Slots<'a> {
+    /// One tape's slots, none shared.
+    fn whole(own: &'a mut [Option<Tensor>]) -> Self {
+        Slots { base: 0, own, shared: &mut [], shared_writes: false, part: None, own_writes: true }
+    }
+
+    /// Whether writes into `v`'s slot happen in this sweep.
+    fn routes(&self, v: Var) -> bool {
+        if v.0 >= self.base {
+            self.own_writes
+        } else {
+            self.shared_writes && self.part.map_or(true, |(marks, side)| marks[v.0] == side)
+        }
+    }
+
+    /// `v`'s slot; only for a `v` this sweep [routes](Self::routes).
+    fn get(&mut self, v: Var) -> &mut Option<Tensor> {
+        match v.0.checked_sub(self.base) {
+            Some(own) => &mut self.own[own],
+            None => &mut self.shared[v.0],
+        }
+    }
+}
+
+/// A forked parent's backward, paused at the fork point by
+/// [`Graph::backward_to_fork`] and ended by [`Graph::finish_backward`].
+pub struct Backward {
+    base: usize,
+    /// Slots of the parent's own nodes; after the sweep only the
+    /// [`Graph::input`] leaves' are left.
+    own: Vec<Option<Tensor>>,
+    /// Gradients of the parent's own parameter leaves.
+    store: GradStore,
+}
+
+impl Backward {
+    /// The gradient reaching [`Graph::input`] leaf `v`, if the loss
+    /// depends on it (`None` too for a `v` recorded before the fork).
+    pub fn grad(&self, v: Var) -> Option<&Tensor> {
+        let own = v.0.checked_sub(self.base)?;
+        self.own.get(own).and_then(Option::as_ref)
+    }
+}
+
+/// The gradient slots of a fork point's shared nodes. It travels from
+/// [`Graph::backward_to_fork`] through the children's sweeps (by value
+/// across threads) to [`Graph::finish_backward`].
+pub struct SharedGrads(Vec<Option<Tensor>>);
+
+impl SharedGrads {
+    /// Moves the slots `marks` selects into a new set (the others stay
+    /// here, and read as empty there), so another thread can write them.
+    pub fn take_marked(&mut self, marks: &[bool]) -> SharedGrads {
+        let slots = self.0.iter_mut().zip(marks);
+        SharedGrads(slots.map(|(slot, &marked)| if marked { slot.take() } else { None }).collect())
+    }
+
+    /// Moves the slots `marks` selects back from `part`.
+    pub fn restore_marked(&mut self, part: SharedGrads, marks: &[bool]) {
+        for ((slot, back), &marked) in self.0.iter_mut().zip(part.0).zip(marks) {
+            if marked {
+                *slot = back;
             }
         }
+    }
+}
+
+/// Shared-slot writes [`Graph::backward_deferred`] held back: the swept
+/// tape (each value a held write reads, no other) and each writing
+/// node's index and incoming gradient, in sweep order.
+pub struct Deferred {
+    tape: Graph,
+    held: Vec<(usize, Tensor)>,
+}
+
+impl Deferred {
+    /// Makes the held-back shared-slot writes, in their sweep order,
+    /// through the same backward rules (so the same kernel calls and the
+    /// same empty-slot rule).
+    ///
+    /// # Panics
+    /// If `shared` belongs to another fork point.
+    pub fn replay(&self, shared: &mut SharedGrads) {
+        self.replay_where(shared, None);
+    }
+
+    /// [`Deferred::replay`] restricted to the shared slots whose mark in
+    /// `marks` equals `side`. Writes into different slots commute, so two
+    /// threads may replay the two sides at once, each into its own
+    /// [`SharedGrads::take_marked`] part.
+    ///
+    /// # Panics
+    /// As [`Deferred::replay`], or if `marks` is shorter than the shared
+    /// prefix.
+    pub fn replay_part(&self, shared: &mut SharedGrads, marks: &[bool], side: bool) {
+        self.replay_where(shared, Some((marks, side)));
+    }
+
+    fn replay_where(&self, shared: &mut SharedGrads, part: Option<(&[bool], bool)>) {
+        let tape = &self.tape;
+        let base = tape.shared.len();
+        assert_eq!(shared.0.len(), base, "gradients of another fork point");
+        let mut slots = Slots {
+            base,
+            own: &mut [],
+            shared: &mut shared.0,
+            shared_writes: true,
+            part,
+            own_writes: false,
+        };
+        let mut no_leaves = GradStore::new();
+        for (id, grad) in &self.held {
+            tape.backprop_node(*id, grad, &mut slots, &mut no_leaves);
+        }
+    }
+
+    /// Marks the shared slots the held writes go to so that the marked
+    /// and the unmarked ones take about equal kernel work to replay
+    /// (multiply-adds of the matmul rules, one per gradient element
+    /// otherwise), for two threads to replay a side each.
+    pub fn split_slots(&self) -> Vec<bool> {
+        let tape = &self.tape;
+        let base = tape.shared.len();
+        let mut work = vec![0usize; base];
+        for (id, grad) in &self.held {
+            let op = &tape.node_at(*id).op;
+            let inner = match op {
+                Op::Matmul(a, _) | Op::RelMatmul { x: a, .. } => tape.shape(*a).as_matrix().1,
+                _ => 1,
+            };
+            crate::check::for_each_input(op, |v| {
+                if v.0 < base && tape.node(v).needs_grad {
+                    work[v.0] += grad.numel() * inner.max(1);
+                }
+            });
+        }
+        // Heaviest first onto the lighter side; ties keep slot order.
+        let mut order: Vec<usize> = (0..base).filter(|&i| work[i] > 0).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(work[i]));
+        let mut marks = vec![false; base];
+        let (mut unmarked, mut marked) = (0, 0);
+        for i in order {
+            if marked < unmarked {
+                marks[i] = true;
+                marked += work[i];
+            } else {
+                unmarked += work[i];
+            }
+        }
+        marks
     }
 }
 
@@ -1133,7 +1527,7 @@ impl Graph {
     /// Records a `GatherRows` without bounds validation; out-of-range
     /// rows read as zeros.
     pub(crate) fn fault_gather_rows_unchecked(&mut self, a: Var, idx: &[usize]) -> Var {
-        let av = &self.nodes[a.0].value;
+        let av = &self.node(a).value;
         let (rows, cols) = av.shape().as_matrix();
         let mut data = Vec::with_capacity(idx.len() * cols);
         for &i in idx {
@@ -1151,13 +1545,13 @@ impl Graph {
     /// Records a `RelMatmul` without shape or bounds validation; rows
     /// whose block lies past `w` read as zeros.
     pub(crate) fn fault_rel_matmul_unchecked(&mut self, x: Var, w: Var, blocks: &[usize]) -> Var {
-        let (e, k) = self.nodes[x.0].value.shape().as_matrix();
-        let (w_rows, n) = self.nodes[w.0].value.shape().as_matrix();
+        let (e, k) = self.node(x).value.shape().as_matrix();
+        let (w_rows, n) = self.node(w).value.shape().as_matrix();
         let mut data = vec![0.0; e * n];
         for (row, &b) in blocks.iter().enumerate() {
             if b < w_rows / k {
-                let x_row = &self.nodes[x.0].value.data()[row * k..(row + 1) * k];
-                let w_block = &self.nodes[w.0].value.data()[b * k * n..(b + 1) * k * n];
+                let x_row = &self.node(x).value.data()[row * k..(row + 1) * k];
+                let w_block = &self.node(w).value.data()[b * k * n..(b + 1) * k * n];
                 kernels::matmul(x_row, w_block, &mut data[row * n..(row + 1) * n], 1, k, n);
             }
         }
@@ -1169,13 +1563,14 @@ impl Graph {
     /// Overwrites a node's recorded forward value, breaking the
     /// op/value shape agreement tapecheck's shape pass verifies.
     pub(crate) fn fault_override_value(&mut self, v: Var, value: Tensor) {
-        self.nodes[v.0].value = value;
+        let own = v.0 - self.shared.len();
+        self.nodes[own].value = value;
     }
 
     /// Records a `Dropout` with a caller-chosen mask (which the RNG draw
     /// in [`Graph::dropout`] can never produce when it is non-finite).
     pub(crate) fn fault_dropout_with_mask(&mut self, a: Var, mask: Vec<f32>) -> Var {
-        let av = &self.nodes[a.0].value;
+        let av = &self.node(a).value;
         let data = av.data().iter().zip(&mask).map(|(&x, &m)| x * m).collect();
         let v = Tensor::from_vec(av.shape().clone(), data);
         let ng = self.needs(a);
@@ -1579,5 +1974,133 @@ mod tests {
         let mut g = Graph::new();
         let p = g.param(&ps, id);
         g.backward(p);
+    }
+
+    /// A small model for the fork tests: a `[3, 2]` table and a basis
+    /// pair composed into a `[2·2, 2]` stack, shared by every item.
+    fn fork_model() -> (ParamStore, [ParamId; 3]) {
+        let mut ps = ParamStore::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut t = |shape: [usize; 2]| {
+            let n = shape[0] * shape[1];
+            Tensor::from_vec(shape, (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
+        };
+        let table = ps.insert("table", t([3, 2]));
+        let coeffs = ps.insert("coeffs", t([2, 1]));
+        let bases = ps.insert("bases", t([1, 4]));
+        (ps, [table, coeffs, bases])
+    }
+
+    /// Mounts the fork model: the table leaf and the memoized stack.
+    fn mount(g: &mut Graph, ps: &ParamStore, [table, coeffs, bases]: [ParamId; 3]) -> [Var; 2] {
+        let t = g.param(ps, table);
+        let c = g.param(ps, coeffs);
+        let b = g.param(ps, bases);
+        let stack = g.memo("stack", &[c, b], |g| {
+            let flat = g.matmul(c, b);
+            g.reshape(flat, [4, 2])
+        });
+        [t, stack]
+    }
+
+    /// One item's score: gathered rows through the block matmul, a
+    /// nonlinearity and a row sum, reading both shared nodes.
+    fn item(g: &mut Graph, [table, stack]: [Var; 2], i: usize) -> Var {
+        let rows = g.gather_rows(table, &[i % 3, (i + 1) % 3, i % 3]);
+        let msgs = g.rel_matmul(rows, stack, &[i % 2, 1, 1]);
+        let act = g.tanh(msgs);
+        let s = g.sum_all(act);
+        g.reshape(s, [1, 1])
+    }
+
+    /// The loss tail over the stacked scores.
+    fn tail(g: &mut Graph, scores: Var) -> Var {
+        let sq = g.square(scores);
+        let s = g.sin(scores);
+        let both = g.mul(sq, s);
+        g.mean_all(both)
+    }
+
+    fn bits(ps: &ParamStore, grads: &GradStore) -> Vec<Vec<u32>> {
+        ps.iter()
+            .map(|(id, _, _)| {
+                grads.get(id).map_or(Vec::new(), |t| t.data().iter().map(|x| x.to_bits()).collect())
+            })
+            .collect()
+    }
+
+    /// The forked backward equals one tape's, bit for bit: prefix,
+    /// then the earlier child's items, then the later child's, then the
+    /// parent's tail over `input` leaves carrying the scores.
+    #[test]
+    fn forked_backward_matches_one_tape_bitwise() {
+        let (ps, ids) = fork_model();
+        let n = 7;
+        let split = 3;
+
+        let mut one = Graph::new();
+        let mounted = mount(&mut one, &ps, ids);
+        let scores: Vec<Var> = (0..n).map(|i| item(&mut one, mounted, i)).collect();
+        let stacked = one.stack_scalars(&scores);
+        let stacked = one.reshape(stacked, [n]);
+        let loss = tail(&mut one, stacked);
+        let expected = bits(&ps, &one.backward(loss));
+
+        // Replayed whole, and in the two parts `split_slots` marks.
+        for split_replay in [false, true] {
+            let mut parent = Graph::new();
+            let mounted = mount(&mut parent, &ps, ids);
+            let mut early = parent.fork();
+            let mut late = parent.fork();
+            let early_scores: Vec<Var> = (0..split).map(|i| item(&mut early, mounted, i)).collect();
+            let late_scores: Vec<Var> = (split..n).map(|i| item(&mut late, mounted, i)).collect();
+            let values: Vec<f32> = early_scores
+                .iter()
+                .map(|&s| early.value(s).item())
+                .chain(late_scores.iter().map(|&s| late.value(s).item()))
+                .collect();
+            let input = parent.input(Tensor::from_vec([n], values));
+            let forked_loss = tail(&mut parent, input);
+            assert_eq!(
+                parent.value(forked_loss).item().to_bits(),
+                one.value(loss).item().to_bits()
+            );
+
+            let (sweep, mut shared) = parent.backward_to_fork(forked_loss);
+            let grad = sweep.grad(input).expect("the loss reads the input").data().to_vec();
+            let seeds = |scores: &[Var], grad: &[f32]| -> Vec<(Var, Tensor)> {
+                let seed = |(&s, &x)| (s, Tensor::from_vec([1, 1], vec![x]));
+                scores.iter().zip(grad).map(seed).collect()
+            };
+            let deferred = early.backward_deferred(seeds(&early_scores, &grad[..split]));
+            late.backward_forked(seeds(&late_scores, &grad[split..]), &mut shared);
+            if split_replay {
+                let marks = deferred.split_slots();
+                assert!(marks.contains(&true) && marks.contains(&false), "{marks:?}");
+                let mut marked = shared.take_marked(&marks);
+                deferred.replay_part(&mut marked, &marks, true);
+                deferred.replay_part(&mut shared, &marks, false);
+                shared.restore_marked(marked, &marks);
+            } else {
+                deferred.replay(&mut shared);
+            }
+            let got = bits(&ps, &parent.finish_backward(sweep, shared));
+            assert_eq!(got, expected, "split replay {split_replay}");
+        }
+    }
+
+    #[test]
+    fn a_forked_tape_mounts_nothing_new() {
+        let (ps, [table, coeffs, _]) = fork_model();
+        let mut parent = Graph::new();
+        let t = parent.param(&ps, table);
+        let mut child = parent.fork();
+        assert_eq!(child.param(&ps, table), t, "the shared leaf");
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            child.param(&ps, coeffs);
+        }))
+        .expect_err("a new parameter on a fork");
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("not mounted before the fork"), "{msg}");
     }
 }

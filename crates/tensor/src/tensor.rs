@@ -74,6 +74,12 @@ impl Tensor {
         &self.shape
     }
 
+    /// Frees the data buffer and keeps the shape: for a tape value no
+    /// backward rule will read again.
+    pub(crate) fn release(&mut self) {
+        self.data = Vec::new();
+    }
+
     /// The flat data buffer.
     pub fn data(&self) -> &[f32] {
         &self.data

@@ -52,6 +52,10 @@ echo "==> determinism under a shuffled schedule (DEKG_SHUFFLE_SCHEDULE=1)"
 # out random uneven chunks in random spawn order: results must be
 # schedule-invariant, not merely thread-count-invariant.
 DEKG_SHUFFLE_SCHEDULE=1 cargo test -q -p dekg --test parallel_determinism --offline
+# The same suite in release: the two-tape training step's helper and
+# main threads run at full speed there, and every parameter bit after
+# training must still equal the one-thread run's.
+DEKG_SHUFFLE_SCHEDULE=1 cargo test -q --release --offline -p dekg --test parallel_determinism
 # Trace integrity under the same perturbation: span nesting stays
 # well-formed with spans closing on many threads in shuffled order, and
 # the kernel profiler's calls/bytes columns are schedule-invariant.

@@ -130,16 +130,26 @@ fn eval_ranking_matches_serial() {
 fn training_matches_serial() {
     let _obs = obs_lock();
     // The full training loop — epoch assembly, extraction, autograd,
-    // optimizer — under different pool sizes from the same seed.
+    // optimizer — under different pool sizes from the same seed: one
+    // thread runs the one-tape step, two and more the two-tape step.
+    // Both losses and every parameter bit must agree.
     let data = tiny_fixture(6);
     let run = |threads: usize| {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut model =
             DekgIlp::new(DekgIlpConfig { epochs: 2, ..DekgIlpConfig::quick() }, &data, &mut rng);
         let report = pool(threads).install(|| model.fit(&data, &mut rng));
-        (report.initial_loss, report.final_loss)
+        let params: Vec<(String, Vec<u32>)> = model
+            .params()
+            .iter()
+            .map(|(_, name, t)| (name.to_owned(), t.data().iter().map(|x| x.to_bits()).collect()))
+            .collect();
+        (report.initial_loss.to_bits(), report.final_loss.to_bits(), params)
     };
-    assert_eq!(run(1), run(4));
+    let serial = run(1);
+    for threads in [2, 4] {
+        assert!(run(threads) == serial, "{threads} threads diverge from one");
+    }
 }
 
 #[test]
