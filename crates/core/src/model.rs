@@ -70,8 +70,11 @@ fn batched_obs() -> &'static BatchedObs {
 }
 
 thread_local! {
-    /// Per-worker scoring workspace: rayon pool threads persist across
-    /// queries, so steady-state batched scoring is allocation-free.
+    /// Per-worker scoring workspace. The rayon shim spawns scoped threads
+    /// per parallel map, so it stays warm within one `evaluate` pass's
+    /// worker (inside it, nested maps run inline) and across a serve
+    /// worker's requests (each worker runs on its own thread); there,
+    /// steady-state batched scoring is allocation-free.
     static WORKSPACE: RefCell<InferenceWorkspace> = RefCell::new(InferenceWorkspace::new());
 }
 

@@ -250,14 +250,18 @@ impl RgcnLayer {
     ///   one-hot row (`labels` selects this);
     /// * per relation group, the logits of all segments' edges come from
     ///   one `kernels::indexed_concat_dot` and the scaled messages from one
-    ///   `kernels::indexed_matmul_scale_scatter`. Both read `h[src]`,
-    ///   `h[dst]`, `q_r` and `W_r` in place, yet each has the bits of the
-    ///   gather → `matmul` → scale → scatter composition (the kernels
-    ///   module's indexed-read contract, pinned there bit for bit):
-    ///   matmul rows are independent, so each edge's message and logit
-    ///   equal the tape's. The tape's `rel_matmul` runs one matmul per run
-    ///   of equal relations against that relation's `[in, out]` block, and
-    ///   one matmul computes the logits for all of a subgraph's edges;
+    ///   `kernels::indexed_matmul_scale_scatter`. Both read `h[dst]`, `q_r`
+    ///   and `W_r` in place, and each computes a shared value once: the
+    ///   logit chains resume from the per-node source prefix
+    ///   `p_src = h · w_attn[..in]` (one `matmul` `n == 1` chain per node,
+    ///   from `+0.0`, computed once per layer), and a run of consecutive
+    ///   edges with one source shares one message. Yet each has the bits of
+    ///   the gather → `matmul` → scale → scatter composition (the kernels
+    ///   module's indexed-read contract, pinned there bit for bit): matmul
+    ///   rows are independent, so each edge's message and logit equal the
+    ///   tape's. The tape's `rel_matmul` runs one matmul per run of equal
+    ///   relations against that relation's `[in, out]` block, and one
+    ///   matmul computes the logits for all of a subgraph's edges;
     /// * with bases, `W_r` here is the `[1, B] · [B, in·out]` product of
     ///   row `r` of the coefficients. The tape composes all R relations
     ///   at mount in one `[R, B]` matmul, whose row `r` is computed by
@@ -330,6 +334,12 @@ impl RgcnLayer {
             }
         }
 
+        // The source third of every attention logit, once per node: the
+        // `+0.0`-started `n == 1` chain over `h[i]` and `w_attn[..in]`
+        // that each edge's logit chain would otherwise recompute per edge.
+        scratch.p_src.resize(n, 0.0);
+        kernels::matmul(h, &w_attn[..in_dim], &mut scratch.p_src, n, in_dim, 1);
+
         scratch.agg.clear();
         scratch.agg.resize(n * out_dim, 0.0);
         for group in batch.by_rel() {
@@ -362,10 +372,11 @@ impl RgcnLayer {
             // reading h, q_r and W_r in place.
             scratch.att.resize(group.srcs.len(), 0.0);
             kernels::indexed_concat_dot(
+                &scratch.p_src,
                 h,
                 in_dim,
-                &group.srcs,
-                &group.dsts,
+                group.srcs,
+                group.dsts,
                 attn_embed.row(rel),
                 w_attn,
                 &mut scratch.att,
@@ -375,8 +386,8 @@ impl RgcnLayer {
             }
             kernels::indexed_matmul_scale_scatter(
                 h,
-                &group.srcs,
-                &group.dsts,
+                group.srcs,
+                group.dsts,
                 w_r,
                 &scratch.att,
                 &mut scratch.agg,
@@ -414,12 +425,14 @@ pub struct MountedRgcnLayer {
 }
 
 /// Reusable buffers for [`RgcnLayer::forward_inference_batched`]: the
-/// per-relation attention weights and composed basis weight, plus the
-/// layer's scatter target. Edge rows are read in place, never copied.
+/// per-node attention source prefixes, the per-relation attention
+/// weights and composed basis weight, plus the layer's scatter target.
+/// Edge rows are read in place, never copied.
 /// Buffers grow to the high-water mark and are then reused — zero
 /// allocations in the steady state.
 #[derive(Debug, Default, Clone)]
 pub struct BatchedLayerScratch {
+    p_src: Vec<f32>,
     att: Vec<f32>,
     agg: Vec<f32>,
     w_r: Vec<f32>,

@@ -54,14 +54,30 @@
 //! logits `[h[src] ⊕ h[dst] ⊕ q] · w` of a relation group, and
 //! [`indexed_matmul_scale_scatter`] its messages `h[src] · W`, each scaled
 //! by its edge's weight and added into the destination row. Both keep the
-//! matmul contract over the *virtual* row they never write out: the
-//! logit is [`matmul`]'s `n == 1` sum over `h[src]`, then `h[dst]`, then
-//! `q`, in ascending `p`; a message element is its `[f32; 32]` register
-//! row's sum over `h[src]` in ascending `p`; and every zero left factor is
-//! skipped. The scatter then adds `m·a` into each destination row in edge
-//! order. So each kernel has the bits of the gather → [`matmul`] → scale →
+//! matmul contract over the *virtual* row they never write out, and both
+//! compute each value once however many edges share it:
+//!
+//! * a logit is [`matmul`]'s `n == 1` chain over `h[src]`, then `h[dst]`,
+//!   then `q`, in ascending `p` from `+0.0`. Its first `k` terms depend on
+//!   the source alone, so the caller computes that prefix once per node
+//!   (`p_src = h · w[..k]`, itself a [`matmul`] `n == 1` chain from
+//!   `+0.0`) and each edge's chain resumes from `p_src[src]`. Resuming is
+//!   exact: the prefix is the very value the uncut chain holds after `k`
+//!   terms, and since a `+0.0`-started chain never holds `−0.0`, adding
+//!   `+0.0` for a zero left factor and skipping it agree on every path;
+//! * a message element is its `[f32; 32]` register row's sum over
+//!   `h[src]` in ascending `p`, a pure function of `h[src]` and `W`, so a
+//!   run of consecutive edges with one source builds it once and scales
+//!   it per edge;
+//! * every zero left factor is skipped, and the scatter adds `m·a` into
+//!   each destination row in edge order: for any one `agg` element the
+//!   adds arrive in the same order as when every edge built its own
+//!   message.
+//!
+//! So each kernel has the bits of the gather → [`matmul`] → scale →
 //! scatter composition it replaces, element for element, and the tests
-//! below pin that.
+//! below pin that against the composition and against the per-edge
+//! kernels these replaced.
 
 /// `out[i] = a[i] + b[i]`.
 pub fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -391,12 +407,17 @@ fn a_bt_lanes(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
 /// being row-major with `k` columns and `w` holding `2·k + q.len()`
 /// entries.
 ///
-/// Bit-identical to gathering every `x_e` into an `[E, 2k + q.len()]`
-/// matrix and calling [`matmul`] with `n == 1` on it: eight edges at a
-/// time run as eight register chains, the rest one scalar chain each,
-/// every chain `+0.0` then the terms in ascending `p` with zero left
-/// factors skipped (module docs).
+/// The source third of every chain comes precomputed: `p_src[i]` must
+/// be [`matmul`]'s `n == 1` sum of row `i` of `h` against `w[..k]`, one
+/// value per node however many edges leave it. Each edge's chain starts
+/// from `p_src[srcs[e]]` and adds the `h[dst]` terms, then the `q`
+/// terms, in ascending `p`: eight edges at a time as eight register
+/// chains, the rest one scalar chain each. That is the chain [`matmul`]
+/// runs over the gathered `[E, 2k + q.len()]` matrix, cut after its
+/// first `k` terms, so the logits have its bits (module docs).
+#[allow(clippy::too_many_arguments)] // the source prefix joins the operands of the composition it fuses
 pub fn indexed_concat_dot(
+    p_src: &[f32],
     h: &[f32],
     k: usize,
     srcs: &[u32],
@@ -408,21 +429,19 @@ pub fn indexed_concat_dot(
     debug_assert_eq!(srcs.len(), dsts.len(), "indexed_concat_dot: srcs and dsts differ");
     debug_assert_eq!(out.len(), srcs.len(), "indexed_concat_dot: one logit per edge");
     debug_assert_eq!(w.len(), 2 * k + q.len(), "indexed_concat_dot: w is not the row width");
-    let (w_src, rest) = w.split_at(k);
-    let (w_dst, w_q) = rest.split_at(k);
+    debug_assert_eq!(p_src.len() * k, h.len(), "indexed_concat_dot: one source prefix per row");
+    let (w_dst, w_q) = w[k..].split_at(k);
     let row = |i: u32| &h[i as usize * k..(i as usize + 1) * k];
     let mut out_groups = out.chunks_exact_mut(CHAINS);
     let mut src_groups = srcs.chunks_exact(CHAINS);
     let mut dst_groups = dsts.chunks_exact(CHAINS);
     for ((o8, s8), d8) in (&mut out_groups).zip(&mut src_groups).zip(&mut dst_groups) {
-        let mut acc = [0.0f32; CHAINS];
-        for (ids, w_part) in [(s8, w_src), (d8, w_dst)] {
-            let rows: [&[f32]; CHAINS] = std::array::from_fn(|r| row(ids[r]));
-            for (p, &y) in w_part.iter().enumerate() {
-                for (s, r) in acc.iter_mut().zip(&rows) {
-                    let x = r[p];
-                    *s += if x == 0.0 { 0.0 } else { x * y };
-                }
+        let mut acc: [f32; CHAINS] = std::array::from_fn(|r| p_src[s8[r] as usize]);
+        let rows: [&[f32]; CHAINS] = std::array::from_fn(|r| row(d8[r]));
+        for (p, &y) in w_dst.iter().enumerate() {
+            for (s, r) in acc.iter_mut().zip(&rows) {
+                let x = r[p];
+                *s += if x == 0.0 { 0.0 } else { x * y };
             }
         }
         for (&x, &y) in q.iter().zip(w_q) {
@@ -435,8 +454,8 @@ pub fn indexed_concat_dot(
     }
     let tails = src_groups.remainder().iter().zip(dst_groups.remainder());
     for (o, (&s, &d)) in out_groups.into_remainder().iter_mut().zip(tails) {
-        let mut acc = 0.0f32;
-        for (part, w_part) in [(row(s), w_src), (row(d), w_dst), (q, w_q)] {
+        let mut acc = p_src[s as usize];
+        for (part, w_part) in [(row(d), w_dst), (q, w_q)] {
             for (&x, &y) in part.iter().zip(w_part) {
                 if x != 0.0 {
                     acc += x * y;
@@ -451,13 +470,16 @@ pub fn indexed_concat_dot(
 /// `agg[dsts[e]] += (h[srcs[e]] · w) * scale[e]`, where `h` is row-major
 /// with `k` columns, `w` is `[k, n]` and `agg` has `n` columns.
 ///
-/// Each message is built 32 columns at a time in a register row, `+0.0`
-/// then `h[src, p] · w[p, ·]` in ascending `p` with zero left factors
-/// skipped, and scaled and added straight into its destination row. So
-/// every `agg` element gets the bits of gathering the sources, one
-/// [`matmul`], scaling each message row and a scatter-add in edge order
-/// (module docs), without the `[E, k]` or `[E, n]` copies. A width that is
-/// not a multiple of 32 ends in one narrower block on the same stack row.
+/// A message is a pure function of `h[src]` and `w`, so each run of
+/// consecutive edges with equal sources builds it once: 32 columns at a
+/// time in a register row, `+0.0` then `h[src, p] · w[p, ·]` in
+/// ascending `p` with zero left factors skipped, then scaled by each
+/// edge's weight and added into that edge's destination row, in edge
+/// order. So every `agg` element gets the bits of gathering the sources,
+/// one [`matmul`], scaling each message row and a scatter-add in edge
+/// order (module docs), without the `[E, k]` or `[E, n]` copies. A width
+/// that is not a multiple of 32 ends in one narrower block on the same
+/// stack row.
 #[allow(clippy::too_many_arguments)] // one operand per factor of the composition it fuses
 pub fn indexed_matmul_scale_scatter(
     h: &[f32],
@@ -477,22 +499,23 @@ pub fn indexed_matmul_scale_scatter(
     }
     debug_assert_eq!(agg.len() % n, 0, "indexed_matmul_scale_scatter: agg is not [_, {n}]");
     let full = n - n % BLOCK;
-    for ((&s, &d), &a) in srcs.iter().zip(dsts).zip(scale) {
+    let mut start = 0;
+    while let Some(&s) = srcs.get(start) {
+        let end = start + srcs[start..].iter().take_while(|&&x| x == s).count();
         let h_row = &h[s as usize * k..(s as usize + 1) * k];
-        let dst_row = &mut agg[d as usize * n..(d as usize + 1) * n];
-        for (j, dst_blk) in dst_row[..full].chunks_exact_mut(BLOCK).enumerate() {
+        let (run_dsts, run_scale) = (&dsts[start..end], &scale[start..end]);
+        start = end;
+        for j in (0..full).step_by(BLOCK) {
             let mut acc = [0.0f32; BLOCK];
             for (&x, w_row) in h_row.iter().zip(w.chunks_exact(n)) {
                 if x == 0.0 {
                     continue;
                 }
-                for (m, &y) in acc.iter_mut().zip(&w_row[j * BLOCK..(j + 1) * BLOCK]) {
+                for (m, &y) in acc.iter_mut().zip(&w_row[j..j + BLOCK]) {
                     *m += x * y;
                 }
             }
-            for (o, &m) in dst_blk.iter_mut().zip(&acc) {
-                *o += m * a;
-            }
+            scatter_scaled(&acc, run_dsts, run_scale, agg, n, j);
         }
         if full < n {
             let mut acc = [0.0f32; BLOCK];
@@ -505,9 +528,18 @@ pub fn indexed_matmul_scale_scatter(
                     *m += x * y;
                 }
             }
-            for (o, &m) in dst_row[full..].iter_mut().zip(acc.iter()) {
-                *o += m * a;
-            }
+            scatter_scaled(acc, run_dsts, run_scale, agg, n, full);
+        }
+    }
+}
+
+/// `agg[d, col..col + m.len()] += m * a` for each `(d, a)` of one run,
+/// in edge order.
+fn scatter_scaled(m: &[f32], dsts: &[u32], scale: &[f32], agg: &mut [f32], n: usize, col: usize) {
+    for (&d, &a) in dsts.iter().zip(scale) {
+        let dst = &mut agg[d as usize * n + col..][..m.len()];
+        for (o, &x) in dst.iter_mut().zip(m) {
+            *o += x * a;
         }
     }
 }
@@ -831,12 +863,33 @@ mod tests {
 
     // ---- indexed kernels against the gather → matmul → scale → scatter composition ----
 
+    /// An edge list: sources and destinations.
+    type EdgeList = (Vec<u32>, Vec<u32>);
+
     /// Random edge lists over `rows` packed nodes, destinations repeating
     /// so the scatter order matters.
-    fn edges(n_e: usize, rows: usize, rng: &mut ChaCha8Rng) -> (Vec<u32>, Vec<u32>) {
+    fn edges(n_e: usize, rows: usize, rng: &mut ChaCha8Rng) -> EdgeList {
         let pick = |rng: &mut ChaCha8Rng| rng.gen_range(0..rows as u32);
         let srcs = (0..n_e).map(|_| pick(rng)).collect();
         let dsts = (0..n_e).map(|_| pick(rng) / 2).collect();
+        (srcs, dsts)
+    }
+
+    /// Edge lists made of runs of equal sources with the given lengths,
+    /// each run's source differing from the one before, destinations
+    /// random and repeating.
+    fn run_edges(lens: &[usize], rows: usize, rng: &mut ChaCha8Rng) -> EdgeList {
+        let mut srcs = Vec::new();
+        let mut prev = u32::MAX;
+        for &len in lens {
+            let mut s = rng.gen_range(0..rows as u32);
+            if s == prev {
+                s = (s + 1) % rows as u32;
+            }
+            srcs.extend(std::iter::repeat(s).take(len));
+            prev = s;
+        }
+        let dsts = (0..srcs.len()).map(|_| rng.gen_range(0..rows as u32) / 2).collect();
         (srcs, dsts)
     }
 
@@ -886,6 +939,109 @@ mod tests {
         }
     }
 
+    /// The per-edge attention kernel the source prefix replaced: every
+    /// edge's chain runs over all three parts of its virtual row.
+    fn per_edge_concat_dot(
+        h: &[f32],
+        k: usize,
+        (srcs, dsts): (&[u32], &[u32]),
+        q: &[f32],
+        w: &[f32],
+        out: &mut [f32],
+    ) {
+        let (w_src, rest) = w.split_at(k);
+        let (w_dst, w_q) = rest.split_at(k);
+        let row = |i: u32| &h[i as usize * k..(i as usize + 1) * k];
+        let mut out_groups = out.chunks_exact_mut(CHAINS);
+        let mut src_groups = srcs.chunks_exact(CHAINS);
+        let mut dst_groups = dsts.chunks_exact(CHAINS);
+        for ((o8, s8), d8) in (&mut out_groups).zip(&mut src_groups).zip(&mut dst_groups) {
+            let mut acc = [0.0f32; CHAINS];
+            for (ids, w_part) in [(s8, w_src), (d8, w_dst)] {
+                let rows: [&[f32]; CHAINS] = std::array::from_fn(|r| row(ids[r]));
+                for (p, &y) in w_part.iter().enumerate() {
+                    for (s, r) in acc.iter_mut().zip(&rows) {
+                        let x = r[p];
+                        *s += if x == 0.0 { 0.0 } else { x * y };
+                    }
+                }
+            }
+            for (&x, &y) in q.iter().zip(w_q) {
+                let t = if x == 0.0 { 0.0 } else { x * y };
+                for s in &mut acc {
+                    *s += t;
+                }
+            }
+            o8.copy_from_slice(&acc);
+        }
+        let tails = src_groups.remainder().iter().zip(dst_groups.remainder());
+        for (o, (&s, &d)) in out_groups.into_remainder().iter_mut().zip(tails) {
+            let mut acc = 0.0f32;
+            for (part, w_part) in [(row(s), w_src), (row(d), w_dst), (q, w_q)] {
+                for (&x, &y) in part.iter().zip(w_part) {
+                    if x != 0.0 {
+                        acc += x * y;
+                    }
+                }
+            }
+            *o = acc;
+        }
+    }
+
+    /// The per-edge message kernel the source runs replaced: every edge
+    /// builds its own message in the register row.
+    fn per_edge_matmul_scale_scatter(
+        h: &[f32],
+        (srcs, dsts): (&[u32], &[u32]),
+        w: &[f32],
+        scale: &[f32],
+        agg: &mut [f32],
+        (k, n): (usize, usize),
+    ) {
+        let full = n - n % BLOCK;
+        for ((&s, &d), &a) in srcs.iter().zip(dsts).zip(scale) {
+            let h_row = &h[s as usize * k..(s as usize + 1) * k];
+            let dst_row = &mut agg[d as usize * n..(d as usize + 1) * n];
+            for (j, dst_blk) in dst_row[..full].chunks_exact_mut(BLOCK).enumerate() {
+                let mut acc = [0.0f32; BLOCK];
+                for (&x, w_row) in h_row.iter().zip(w.chunks_exact(n)) {
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for (m, &y) in acc.iter_mut().zip(&w_row[j * BLOCK..(j + 1) * BLOCK]) {
+                        *m += x * y;
+                    }
+                }
+                for (o, &m) in dst_blk.iter_mut().zip(&acc) {
+                    *o += m * a;
+                }
+            }
+            if full < n {
+                let mut acc = [0.0f32; BLOCK];
+                let acc = &mut acc[..n - full];
+                for (&x, w_row) in h_row.iter().zip(w.chunks_exact(n)) {
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for (m, &y) in acc.iter_mut().zip(&w_row[full..]) {
+                        *m += x * y;
+                    }
+                }
+                for (o, &m) in dst_row[full..].iter_mut().zip(acc.iter()) {
+                    *o += m * a;
+                }
+            }
+        }
+    }
+
+    /// The per-node source prefixes the layer computes once per pack:
+    /// `h · w[..k]` on [`matmul`]'s `n == 1` chains.
+    fn source_prefix(h: &[f32], k: usize, w: &[f32]) -> Vec<f32> {
+        let mut p_src = vec![f32::NAN; h.len() / k];
+        matmul(h, &w[..k], &mut p_src, h.len() / k, k, 1);
+        p_src
+    }
+
     /// Layer inputs: one-hot-like rows at the layer-0 label width, ReLU-
     /// like rows (exact `±0.0` among them) at the hidden width.
     fn layer_input(rows: usize, k: usize, rng: &mut ChaCha8Rng) -> Vec<f32> {
@@ -903,35 +1059,62 @@ mod tests {
         h
     }
 
-    /// Both indexed kernels equal the composition bit for bit, for edge
-    /// counts on and off the 8-edge groups, the layer-0 label width (6)
-    /// and the hidden width (32) as `k`, and message widths of 16
-    /// (`quick()`), 32, 33 and 64.
+    /// Both indexed kernels equal the gather → `matmul` → scale → scatter
+    /// composition, and the per-edge kernels they replaced, bit for bit:
+    /// random edge lists with counts on and off the 8-edge groups (the
+    /// empty group included), and lists of source runs of length 1 to 41
+    /// (each message built once) that straddle the logits' 8-edge chain
+    /// groups or fill one; the layer-0 label width (6) and the hidden
+    /// width (32) as `k`; message widths of 16 (`quick()`), 32, 33, 40
+    /// (one full block plus a narrower one) and 64.
     #[test]
     fn indexed_kernels_match_the_gather_composition_bitwise() {
         let mut rng = ChaCha8Rng::seed_from_u64(20);
         let rows = 40;
-        for n_e in [0, 1, 7, 8, 9, 17, 64, 203] {
-            for k in [6, 32] {
+        let runs: [&[usize]; 6] = [
+            &[1],
+            &[2, 1, 3, 1, 1, 4, 2],
+            &[5, 6, 7, 9, 3],
+            &[8, 8, 1, 8],
+            &[1, 17, 2, 10, 1, 1, 12],
+            &[41],
+        ];
+        for k in [6, 32] {
+            let mut lists: Vec<(String, EdgeList)> = [0, 1, 7, 8, 9, 17, 64, 203]
+                .iter()
+                .map(|&n_e| (format!("n_e {n_e}"), edges(n_e, rows, &mut rng)))
+                .collect();
+            for lens in runs {
+                lists.push((format!("runs {lens:?}"), run_edges(lens, rows, &mut rng)));
+            }
+            for (what, (srcs, dsts)) in lists {
                 let h = layer_input(rows, k, &mut rng);
-                let (srcs, dsts) = edges(n_e, rows, &mut rng);
                 let mut q = signed(8, &mut rng);
                 q[3] = 0.0;
                 let w_att = signed(2 * k + q.len(), &mut rng);
+                let n_e = srcs.len();
+                let p_src = source_prefix(&h, k, &w_att);
                 let want = concat_dot_reference(&h, k, (&srcs, &dsts), &q, &w_att);
+                let mut per_edge = vec![f32::NAN; n_e];
+                per_edge_concat_dot(&h, k, (&srcs, &dsts), &q, &w_att, &mut per_edge);
                 let mut got = vec![f32::NAN; n_e];
-                indexed_concat_dot(&h, k, &srcs, &dsts, &q, &w_att, &mut got);
-                assert_eq!(bits(&got), bits(&want), "logits n_e {n_e} k {k}");
+                indexed_concat_dot(&p_src, &h, k, &srcs, &dsts, &q, &w_att, &mut got);
+                assert_eq!(bits(&got), bits(&want), "logits {what} k {k}");
+                assert_eq!(bits(&per_edge), bits(&want), "per-edge logits {what} k {k}");
 
                 let scale: Vec<f32> = got.iter().map(|x| 1.0 / (1.0 + (-x).exp())).collect();
-                for n in [16, 32, 33, 64] {
+                for n in [16, 32, 33, 40, 64] {
                     let w = signed(k * n, &mut rng);
                     let agg0 = signed(rows * n, &mut rng);
                     let mut want = agg0.clone();
                     scatter_reference(&h, (&srcs, &dsts), &w, &scale, &mut want, (k, n));
+                    let mut per_edge = agg0.clone();
+                    let sd = (&srcs[..], &dsts[..]);
+                    per_edge_matmul_scale_scatter(&h, sd, &w, &scale, &mut per_edge, (k, n));
                     let mut got = agg0;
                     indexed_matmul_scale_scatter(&h, &srcs, &dsts, &w, &scale, &mut got, k, n);
-                    assert_eq!(bits(&got), bits(&want), "messages n_e {n_e} k {k} n {n}");
+                    assert_eq!(bits(&got), bits(&want), "messages {what} k {k} n {n}");
+                    assert_eq!(bits(&per_edge), bits(&want), "per-edge {what} k {k} n {n}");
                 }
             }
         }
@@ -939,42 +1122,47 @@ mod tests {
 
     /// `±Inf` and `NaN` in the weights meet only zero left factors
     /// (`+0.0` and `−0.0` in `h`, a zero in `q`) and contribute nothing:
-    /// every output stays finite and still equals the composition.
+    /// every output stays finite and still equals the composition, with
+    /// the sources in runs and apart, at widths 16, 32, 40 and 64.
     #[test]
     fn indexed_kernels_skip_zero_left_factors_against_non_finite_weights() {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let (rows, k, n_e) = (24, 32, 19);
+        let (rows, k) = (24, 32);
         let mut h = relu_like(rows * k, &mut rng);
         for (i, row) in h.chunks_exact_mut(k).enumerate() {
             row[5] = if i % 2 == 0 { 0.0 } else { -0.0 };
             row[k - 1] = -0.0;
         }
-        let (srcs, dsts) = edges(n_e, rows, &mut rng);
-        let mut q = signed(8, &mut rng);
-        q[2] = -0.0;
-        let mut w_att = signed(2 * k + q.len(), &mut rng);
-        w_att[5] = f32::INFINITY;
-        w_att[k + 5] = f32::NEG_INFINITY;
-        w_att[2 * k - 1] = f32::NAN;
-        w_att[2 * k + 2] = f32::NAN;
-        let want = concat_dot_reference(&h, k, (&srcs, &dsts), &q, &w_att);
-        let mut got = vec![f32::NAN; n_e];
-        indexed_concat_dot(&h, k, &srcs, &dsts, &q, &w_att, &mut got);
-        assert!(got.iter().all(|x| x.is_finite()), "logits: {got:?}");
-        assert_eq!(bits(&got), bits(&want), "logits");
+        for (srcs, dsts) in [edges(19, rows, &mut rng), run_edges(&[3, 1, 9, 6], rows, &mut rng)] {
+            let n_e = srcs.len();
+            let mut q = signed(8, &mut rng);
+            q[2] = -0.0;
+            let mut w_att = signed(2 * k + q.len(), &mut rng);
+            w_att[5] = f32::INFINITY;
+            w_att[k + 5] = f32::NEG_INFINITY;
+            w_att[2 * k - 1] = f32::NAN;
+            w_att[2 * k + 2] = f32::NAN;
+            let p_src = source_prefix(&h, k, &w_att);
+            assert!(p_src.iter().all(|x| x.is_finite()), "source prefixes: {p_src:?}");
+            let want = concat_dot_reference(&h, k, (&srcs, &dsts), &q, &w_att);
+            let mut got = vec![f32::NAN; n_e];
+            indexed_concat_dot(&p_src, &h, k, &srcs, &dsts, &q, &w_att, &mut got);
+            assert!(got.iter().all(|x| x.is_finite()), "logits: {got:?}");
+            assert_eq!(bits(&got), bits(&want), "logits");
 
-        for n in [16, 32] {
-            let mut w = signed(k * n, &mut rng);
-            w[5 * n..6 * n].fill(f32::INFINITY);
-            w[5 * n + 1] = f32::NEG_INFINITY;
-            w[(k - 1) * n..].fill(f32::NAN);
-            let scale = signed(n_e, &mut rng);
-            let mut want = vec![0.0; rows * n];
-            scatter_reference(&h, (&srcs, &dsts), &w, &scale, &mut want, (k, n));
-            let mut got = vec![0.0; rows * n];
-            indexed_matmul_scale_scatter(&h, &srcs, &dsts, &w, &scale, &mut got, k, n);
-            assert!(got.iter().all(|x| x.is_finite()), "messages n {n}: {got:?}");
-            assert_eq!(bits(&got), bits(&want), "messages n {n}");
+            for n in [16, 32, 40, 64] {
+                let mut w = signed(k * n, &mut rng);
+                w[5 * n..6 * n].fill(f32::INFINITY);
+                w[5 * n + 1] = f32::NEG_INFINITY;
+                w[(k - 1) * n..].fill(f32::NAN);
+                let scale = signed(n_e, &mut rng);
+                let mut want = vec![0.0; rows * n];
+                scatter_reference(&h, (&srcs, &dsts), &w, &scale, &mut want, (k, n));
+                let mut got = vec![0.0; rows * n];
+                indexed_matmul_scale_scatter(&h, &srcs, &dsts, &w, &scale, &mut got, k, n);
+                assert!(got.iter().all(|x| x.is_finite()), "messages n {n}: {got:?}");
+                assert_eq!(bits(&got), bits(&want), "messages n {n}");
+            }
         }
     }
 

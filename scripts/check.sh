@@ -24,7 +24,7 @@ grep -q '"errors": 0' <<< "$lint_json"
 echo "==> cargo test --workspace"
 cargo test -q --workspace --offline
 
-echo "==> tensor and gnn unit tests, optimized"
+echo "==> tensor, gnn and kg unit tests, optimized"
 # The suite above is a debug build, so it never runs the autovectorized
 # register paths of the matmul kernels that release binaries execute.
 # Their bit-equality tests against the scalar loops, and the checkpoint
@@ -39,6 +39,10 @@ cargo test -q --release --offline -p dekg-tensor --test prop_serialize
 # matmul, and these pins are the proof that its forward values keep the
 # batched engine's bits.
 cargo test -q --release --offline -p dekg-gnn
+# The packing counting sort's pin against a `BTreeMap` reference
+# grouping, in release as well: the flat per-relation arrays it fills
+# feed the indexed kernels above.
+cargo test -q --release --offline -p dekg-kg
 
 echo "==> repository benchmark self-tests (dekgbench)"
 # The benchmark is its own workspace, so the test above does not reach
@@ -139,6 +143,11 @@ echo "==> batched-engine pins under a shuffled schedule"
 # autograd tape (dekg_core::reference::TapeReference) rank for rank and
 # metric for metric, with the rayon shim perturbing worker schedules.
 DEKG_SHUFFLE_SCHEDULE=1 cargo test -q -p dekg --test batched_scoring --offline
+# The same pins in release: the indexed kernels' register rows and
+# chains, the shared source-run messages and the per-node attention
+# prefixes only vectorize there, and the ranks must still equal the
+# tape's.
+DEKG_SHUFFLE_SCHEDULE=1 cargo test -q --release --offline -p dekg --test batched_scoring
 
 echo "==> serve determinism under a shuffled schedule"
 # The serving face of the bitwise contract: interleaved concurrent
