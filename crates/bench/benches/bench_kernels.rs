@@ -1,7 +1,10 @@
 //! Microbenchmarks for the dense matmul kernels at the R-GCN layer's
 //! shapes: messages `[E, 32]·[32, 32]`, attention logits
-//! `[E, 72]·[72, 1]`, the basis composition `[1, 4]·[4, 1024]`, and the
-//! two weight gradients `[E, 32]ᵀ·[E, 32]` and `[E, 72]ᵀ·[E, 1]`.
+//! `[E, 72]·[72, 1]`, the basis composition `[1, 4]·[4, 1024]`, the
+//! two weight gradients `[E, 32]ᵀ·[E, 32]` and `[E, 72]ᵀ·[E, 1]`, and
+//! the message input gradient `[E, 32]·[32, 32]ᵀ`.
+//!
+//! Run with `cargo bench --offline -p dekg-bench --bench bench_kernels`.
 //!
 //! Left factors are post-ReLU-like: about half exact zeros, in random
 //! positions. A fixed zero pattern would let the branch predictor learn
@@ -66,6 +69,31 @@ fn bench_weight_grad(c: &mut Criterion, group: &str, shapes: &[(usize, usize, us
     g.finish();
 }
 
+/// `dX += dC·Wᵀ` with `dC [e, n]` ReLU-like and `W [m, n]` dense.
+fn bench_input_grad(c: &mut Criterion, group: &str, shapes: &[(usize, usize, usize)]) {
+    let mut rng = ChaCha8Rng::seed_from_u64(2);
+    let mut g = c.benchmark_group(group);
+    for &(e, n, m) in shapes {
+        let dc = relu_like(e * n, &mut rng);
+        let w = signed(m * n, &mut rng);
+        let mut dx = vec![0.0; e * m];
+        let id = BenchmarkId::new("matmul_a_bt_acc", format!("{e}x{n}x{m}"));
+        g.bench_with_input(id, &e, |bench, _| {
+            bench.iter(|| {
+                kernels::matmul_a_bt_acc(
+                    black_box(&dc),
+                    black_box(&w),
+                    black_box(&mut dx),
+                    e,
+                    n,
+                    m,
+                );
+            });
+        });
+    }
+    g.finish();
+}
+
 fn bench_message(c: &mut Criterion) {
     let shapes: Vec<_> = EDGES.iter().map(|&e| (e, 32, 32)).collect();
     bench_forward(c, "kernel_message", &shapes);
@@ -90,12 +118,18 @@ fn bench_attention_dw(c: &mut Criterion) {
     bench_weight_grad(c, "kernel_attention_dw", &shapes);
 }
 
+fn bench_message_dx(c: &mut Criterion) {
+    let shapes: Vec<_> = EDGES.iter().map(|&e| (e, 32, 32)).collect();
+    bench_input_grad(c, "kernel_message_dx", &shapes);
+}
+
 criterion_group!(
     benches,
     bench_message,
     bench_attention,
     bench_composition,
     bench_message_dw,
-    bench_attention_dw
+    bench_attention_dw,
+    bench_message_dx
 );
 criterion_main!(benches);

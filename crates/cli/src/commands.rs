@@ -31,8 +31,6 @@ commands:
             [--timing]
   profile   train --data DIR [--batches N] [--distinct N] [--seed N]
             [observability flags]
-  profile   eval  --data DIR [--queries N] [--candidates N] [--seed N]
-            [observability flags]
   obslint   --file FILE [--require kind1,kind2,...] [--chrome]
   lint      [--root DIR] [--json]
   help
@@ -445,18 +443,19 @@ pub fn evaluate(flags: &Flags) -> CliResult {
         "{} queries over {} links in {:.2}s ({:.1} queries/s, {} thread(s))",
         t.queries, t.links, t.wall_seconds, t.queries_per_second, t.threads
     );
-    let p = &t.phases;
-    if p.ranking_count > 0 {
-        println!(
-            "phases (cpu-seconds across workers): extraction {:.2}s / {} subgraphs, \
-             scoring {:.2}s / {} batches, ranking {:.2}s / {} queries",
-            p.extraction_seconds,
-            p.extraction_count,
-            p.scoring_seconds,
-            p.scoring_count,
-            p.ranking_seconds,
-            p.ranking_count
-        );
+    // The batched engine's spans that closed during the run, the same
+    // rows `/debug/profile` serves: CPU-seconds summed across workers,
+    // nested (extraction inside scoring inside ranking).
+    if !t.spans.spans.is_empty() {
+        let mut spans = Table::new(vec!["span", "count", "seconds"]);
+        for (name, stat) in &t.spans.spans {
+            spans.add_row(vec![
+                name.clone(),
+                stat.count.to_string(),
+                format!("{:.3}", stat.seconds),
+            ]);
+        }
+        println!("{}", spans.render());
     }
     if dekg_obs::metrics_active() {
         dekg_obs::Event::new("eval")
@@ -470,9 +469,6 @@ pub fn evaluate(flags: &Flags) -> CliResult {
             .field_u64("links", t.links as u64)
             .field_u64("threads", t.threads as u64)
             .field_f64("wall_seconds", t.wall_seconds)
-            .field_f64("extraction_seconds", p.extraction_seconds)
-            .field_f64("scoring_seconds", p.scoring_seconds)
-            .field_f64("ranking_seconds", p.ranking_seconds)
             .emit_metrics();
     }
     obs_finish(flags)
@@ -560,35 +556,42 @@ pub fn serve(flags: &Flags) -> CliResult {
     obs_finish(flags)
 }
 
-/// `dekg profile` — runs the per-op kernel profiler over synthetic
-/// workload batches drawn from a dataset and prints the hot-op table.
+/// `dekg profile train` — runs the per-op kernel profiler over
+/// synthetic training batches drawn from a dataset and prints the
+/// hot-op table.
 ///
-/// `profile train` records and backpropagates `--batches` full training
-/// batches (cycling through `--distinct` tape structures so repeated
-/// shapes fold together); `profile eval` runs forward-only evaluation
-/// tapes. Profiling hooks never change what is computed — the perf
-/// harness asserts the profiled and unprofiled runs are bitwise
-/// identical — so the printed attribution reflects the production
-/// kernels. Combine with `--chrome-trace` for a span-level timeline of
-/// the same run.
+/// Records and backpropagates `--batches` full training batches
+/// (cycling through `--distinct` tape structures so repeated shapes
+/// fold together), each once with the profiler off and once on — the
+/// perf harness's paired run with one round. Beside the table it
+/// prints the profiler's median overhead and whether the two modes
+/// produced bit-identical losses and gradients. Combine with
+/// `--chrome-trace` for a span-level timeline of the same run.
+/// Evaluation is attributed by the batched engine's spans, which
+/// `dekg evaluate` prints.
 pub fn profile(mode: &str, flags: &Flags) -> CliResult {
+    if mode != "train" {
+        return Err(format!(
+            "unknown profile mode {mode:?} (train; evaluation time is in the span rows \
+             `dekg evaluate` prints)"
+        )
+        .into());
+    }
     obs_init(flags)?;
     let dataset = load_dataset(flags)?;
     let seed: u64 = flags.parse_or("seed", 0)?;
-    let report = match mode {
-        "train" => {
-            let batches: usize = flags.parse_or("batches", 8)?;
-            let distinct: usize = flags.parse_or("distinct", 2)?;
-            dekg_core::profile_train(&dataset, seed, batches, distinct)
-        }
-        "eval" => {
-            let queries: usize = flags.parse_or("queries", 4)?;
-            let candidates: usize = flags.parse_or("candidates", 8)?;
-            dekg_core::profile_eval(&dataset, seed, queries, candidates)
-        }
-        other => return Err(format!("unknown profile mode {other:?} (train|eval)").into()),
-    };
-    print!("{}", report.render());
+    let batches: usize = flags.parse_or("batches", 8)?;
+    let distinct: usize = flags.parse_or("distinct", 2)?;
+    let paired = dekg_core::profile_train_paired(&dataset, seed, batches, distinct, 1);
+    print!("{}", paired.report.render());
+    println!(
+        "\nprofiler overhead {:+.1}% (median of {} paired executions; {:.1} ms unprofiled), \
+         outputs bit-identical on/off: {}",
+        paired.overhead_ratio * 100.0,
+        paired.report.batches,
+        paired.unprofiled_seconds * 1e3,
+        if paired.outputs_identical { "yes" } else { "NO" }
+    );
     obs_finish(flags)
 }
 

@@ -32,11 +32,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let command = argv.remove(0);
-    // `profile` takes a positional mode (train|eval) before its flags.
+    // `profile` takes a positional mode (train) before its flags.
     let mut profile_mode = String::new();
     if command == "profile" {
         if argv.is_empty() || argv[0].starts_with("--") {
-            eprintln!("error: dekg profile needs a mode: train or eval\n\n{}", commands::USAGE);
+            eprintln!("error: dekg profile needs a mode: train\n\n{}", commands::USAGE);
             return ExitCode::FAILURE;
         }
         profile_mode = argv.remove(0);

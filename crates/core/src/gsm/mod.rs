@@ -131,41 +131,27 @@ impl Gsm {
         g.matmul(cat, mounted.w_out)
     }
 
-    /// Scores many subgraphs on one tape: the tape mounts the parameters
-    /// once, however many items share it. Returns the raw `f32` scores;
-    /// no dropout is applied (evaluation semantics).
+    /// Scores many subgraphs on one tape: one [`Gsm::score_subgraph`]
+    /// per item, no dropout (evaluation semantics). Returns the raw
+    /// `f32` scores. The batched engine's pins use this path as their
+    /// oracle (see [`crate::reference::TapeReference`]).
     pub fn score_subgraphs_eval(
         &self,
         params: &ParamStore,
         items: &[(&Subgraph, dekg_kg::RelationId)],
     ) -> Vec<f32> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let (g, scores) = self.record_eval_tape(params, items);
-        scores.into_iter().map(|s| g.value(s).item()).collect()
-    }
-
-    /// Records the [`Gsm::score_subgraphs_eval`] tape without reading
-    /// the scores off it: one [`Gsm::score_subgraph`] per item, no
-    /// dropout, one scalar `Var` per item. Exposed so the profiler can
-    /// bracket pure tape recording; forward values are eager, so reading
-    /// them later is free and bitwise identical.
-    pub fn record_eval_tape(
-        &self,
-        params: &ParamStore,
-        items: &[(&Subgraph, dekg_kg::RelationId)],
-    ) -> (Graph, Vec<Var>) {
         // Eval never draws randomness; the encoder signature needs one.
         use rand::SeedableRng;
         // lint: hermetic-ok — eval path draws nothing; the constant seed feeds an encoder signature that demands an Rng
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
         let mut g = Graph::new();
-        let out = items
+        items
             .iter()
-            .map(|(sg, rel)| self.score_subgraph(&mut g, params, sg, *rel, false, &mut rng))
-            .collect();
-        (g, out)
+            .map(|(sg, rel)| {
+                let s = self.score_subgraph(&mut g, params, sg, *rel, false, &mut rng);
+                g.value(s).item()
+            })
+            .collect()
     }
 
     /// Scores a block-diagonal batch of subgraphs (`rels[i]` pairing
@@ -195,20 +181,7 @@ impl Gsm {
             return;
         }
         self.encoder.encode_inference_batched(params, batch, &mut ws.enc);
-        let rel_tpo = params.get(self.rel_tpo);
-        let w = params.get(self.w_out).data();
-        let d = self.dim;
-        ws.cat.resize(b * 4 * d, 0.0);
-        for (i, rel) in rels.iter().enumerate() {
-            let row = &mut ws.cat[i * 4 * d..(i + 1) * 4 * d];
-            row[..d].copy_from_slice(&ws.enc.graph[i * d..(i + 1) * d]);
-            row[d..2 * d].copy_from_slice(&ws.enc.heads[i * d..(i + 1) * d]);
-            row[2 * d..3 * d].copy_from_slice(&ws.enc.tails[i * d..(i + 1) * d]);
-            row[3 * d..].copy_from_slice(rel_tpo.row(rel.index()));
-        }
-        ws.scores.resize(b, 0.0);
-        kernels::matmul(&ws.cat, w, &mut ws.scores, b, 4 * d, 1);
-        out.extend_from_slice(&ws.scores);
+        self.readout(params, rels, |i| i, ws, out);
     }
 
     /// Scores one subgraph under many relations — the `(h, ?, t)`
@@ -232,16 +205,32 @@ impl Gsm {
         let graphs = std::slice::from_ref(sg);
         let batch = BatchedSubgraphs::pack(graphs);
         self.encoder.encode_inference_batched(params, &batch, &mut ws.enc);
+        self.readout(params, rels, |_| 0, ws, out);
+    }
+
+    /// The φ_tpo readout (Eq. 13) over the encodings in `ws.enc`: row
+    /// `i` concatenates segment `seg(i)`'s graph, head and tail
+    /// embeddings with `r^tpo[rels[i]]`, and one `[b, 4d] × [4d, 1]`
+    /// matmul appends the `b = rels.len()` scores to `out`.
+    fn readout(
+        &self,
+        params: &ParamStore,
+        rels: &[dekg_kg::RelationId],
+        seg: impl Fn(usize) -> usize,
+        ws: &mut InferenceWorkspace,
+        out: &mut Vec<f32>,
+    ) {
         let rel_tpo = params.get(self.rel_tpo);
         let w = params.get(self.w_out).data();
         let d = self.dim;
         let b = rels.len();
         ws.cat.resize(b * 4 * d, 0.0);
         for (i, rel) in rels.iter().enumerate() {
+            let s = seg(i) * d..(seg(i) + 1) * d;
             let row = &mut ws.cat[i * 4 * d..(i + 1) * 4 * d];
-            row[..d].copy_from_slice(&ws.enc.graph[..d]);
-            row[d..2 * d].copy_from_slice(&ws.enc.heads[..d]);
-            row[2 * d..3 * d].copy_from_slice(&ws.enc.tails[..d]);
+            row[..d].copy_from_slice(&ws.enc.graph[s.clone()]);
+            row[d..2 * d].copy_from_slice(&ws.enc.heads[s.clone()]);
+            row[2 * d..3 * d].copy_from_slice(&ws.enc.tails[s]);
             row[3 * d..].copy_from_slice(rel_tpo.row(rel.index()));
         }
         ws.scores.resize(b, 0.0);

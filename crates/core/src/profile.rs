@@ -1,14 +1,19 @@
-//! `dekg profile` — attributed hot-op profiling of the production tapes.
+//! `dekg profile` — attributed hot-op profiling of the production
+//! training tape.
 //!
 //! The flat spans from `dekg-obs` say *that* tape execution is slow;
 //! this module says *where*: it arms the per-op kernel profiler in
 //! `dekg-tensor` ([`dekg_tensor::prof`]), runs the exact Eq. 15
-//! training tape (or the mounted evaluation tape) on a small model, and
-//! reports a hot-op table — wall time, call count and bytes moved per
-//! Op variant — plus per-tape-structure rows keyed by the tapecheck
-//! structure key, so repeated batches of the same shape fold together.
+//! training tape on a small model, and reports a hot-op table — wall
+//! time, call count and bytes moved per Op variant — plus
+//! per-tape-structure rows keyed by the tapecheck structure key, so
+//! repeated batches of the same shape fold together. Evaluation has no
+//! tape here: the batched engine's spans (`extract_subgraph`,
+//! `rgcn_layer_inference`, `score_batch`, `rank_query`) attribute it,
+//! and `dekg evaluate` prints them.
 //!
-//! Two invariants the profile itself verifies:
+//! One harness, [`profile_train_paired`], runs every execution twice,
+//! profiler off and on, and verifies two invariants:
 //!
 //! * **Attribution** — the summed per-op kernel time must account for
 //!   the bulk of the measured tape-execution bracket ([`ProfileReport`]
@@ -18,14 +23,15 @@
 //!   [`crate::train::prepare_batch`], so only recording + backward is
 //!   measured.
 //! * **Determinism** — profiling observes and never participates:
-//!   enabling it cannot change any loss or score bit (asserted in the
-//!   perf harness and in `crates/core/tests/profile.rs`).
+//!   enabling it cannot change any loss or gradient bit
+//!   ([`PairedProfile::outputs_identical`], asserted in the perf
+//!   harness and in `crates/core/tests/profile.rs`).
 
 use crate::model::DekgIlp;
 use crate::train::{prepare_batch, record_prepared, PreparedBatch};
 use crate::traits::InferenceGraph;
 use dekg_datasets::{DekgDataset, NegativeSampler};
-use dekg_kg::{EntityId, Subgraph, Triple};
+use dekg_kg::Triple;
 use dekg_tensor::{prof, Graph};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -50,8 +56,8 @@ fn profile_config() -> crate::config::DekgIlpConfig {
     }
 }
 
-/// The outcome of a [`profile_train`] / [`profile_eval`] run: the
-/// sorted hot-op table, the folded per-structure tape rows, and the
+/// The profiler-on half of a [`profile_train_paired`] run: the sorted
+/// hot-op table, the folded per-structure tape rows, and the
 /// bracketing span measurement the attribution is judged against.
 #[derive(Debug, Clone)]
 pub struct ProfileReport {
@@ -195,62 +201,14 @@ fn train_workload(
     (model, train_graph, prepared)
 }
 
-/// Profiles `batches` executions of the production Eq. 15 training
-/// tape (record + backward) on a fresh profiling-sized model.
-///
-/// Batches rotate through `distinct` structurally distinct shapes, so
-/// the per-structure rows demonstrate folding: `batches` executions
-/// collapse to at most `distinct` keys. Preparation (negative
-/// sampling, extraction) happens up front, outside the timed bracket.
-///
-/// # Panics
-/// When `batches` or `distinct` is zero or the dataset has no triples.
-pub fn profile_train(
-    dataset: &DekgDataset,
-    seed: u64,
-    batches: usize,
-    distinct: usize,
-) -> ProfileReport {
-    let (model, train_graph, slots) = train_workload(dataset, seed, batches, distinct);
-
-    prof::reset();
-    prof::set_enabled(true);
-    let mut span_seconds = 0.0f64;
-    let mut nodes = 0u64;
-    for i in 0..batches {
-        let (prepared, brng) = &slots[i % slots.len()];
-        let mut brng = brng.clone();
-        let span = dekg_obs::span!("profile_tape_execute");
-        let started = Instant::now();
-        let mut g = Graph::new();
-        let parts = record_prepared(&mut g, &model, dataset, &train_graph, prepared, &mut brng);
-        let grads = g.backward(parts.total);
-        let dt = started.elapsed().as_secs_f64();
-        drop(span);
-        std::hint::black_box(&grads);
-
-        span_seconds += dt;
-        nodes += g.len() as u64;
-        let key = dekg_tensor::tapecheck::structure_key(
-            &g,
-            parts.total,
-            &parts.observed_vars(),
-            Some(model.params()),
-        );
-        prof::record_tape(key, g.len() as u64, dt);
-    }
-    prof::set_enabled(false);
-    let snap = prof::snapshot();
-    export_metrics(&snap.ops);
-    ProfileReport { ops: snap.ops, tapes: snap.tapes, span_seconds, batches, nodes }
-}
-
-/// The perf harness's profiler observer contract, measured in one
-/// [`profile_train_paired`] run.
+/// The profiler's observer contract, measured in one
+/// [`profile_train_paired`] run: coverage, overhead and on/off bit
+/// identity (`dekg profile train` prints all three; the perf harness
+/// asserts them).
 #[derive(Debug, Clone)]
 pub struct PairedProfile {
-    /// The profiler-on executions as a [`profile_train`]-style report:
-    /// hot-op table, folded tape rows and their bracket (coverage).
+    /// The profiler-on executions: hot-op table, folded tape rows and
+    /// their bracket (coverage).
     pub report: ProfileReport,
     /// Summed bracket seconds of the paired profiler-off executions
     /// (the profiler-on sum is `report.span_seconds`).
@@ -262,22 +220,29 @@ pub struct PairedProfile {
     pub outputs_identical: bool,
 }
 
-/// Runs the exact [`profile_train`] workload with the kernel profiler
-/// off and on, paired per batch, for the perf harness's overhead bar.
+/// Profiles `batches` executions of the production Eq. 15 training
+/// tape (record + backward) on a fresh profiling-sized model, with the
+/// kernel profiler off and on, paired per batch.
 ///
-/// The model is built once and each distinct batch is prepared once;
-/// every run of a batch records and back-propagates that prepared batch
-/// from a clone of its post-preparation rng, so the two modes execute
-/// identical tapes. For every round and every batch the two modes run
-/// back to back, the first mode alternating with `(round + batch) % 2`,
-/// after one untimed warm-up pass. The overhead is the median of the
-/// per-pair ratios: both runs of a pair share the host's state, so a
-/// scheduler stall or host drift moves one pair's ratio, not the
-/// median. The profiler-on executions also fill the returned report,
-/// so one call yields coverage, overhead and the bitwise on/off
-/// comparison.
+/// Batches rotate through `distinct` structurally distinct shapes, so
+/// the per-structure rows demonstrate folding: `batches` executions
+/// collapse to at most `distinct` keys. The model is built once and
+/// each distinct batch is prepared once, up front and outside the
+/// timed bracket; every run of a batch records and back-propagates that
+/// prepared batch from a clone of its post-preparation rng, so the two
+/// modes execute identical tapes. For every round and every batch the
+/// two modes run back to back, the first mode alternating with
+/// `(round + batch) % 2`, after one untimed warm-up pass. The overhead
+/// is the median of the per-pair ratios: both runs of a pair share the
+/// host's state, so a scheduler stall or host drift moves one pair's
+/// ratio, not the median. The profiler-on executions also fill the
+/// returned report, so one call yields coverage, overhead and the
+/// bitwise on/off comparison.
 ///
-/// Leaves the global profiler disabled and does not export metrics.
+/// Every execution, in either mode, runs inside a
+/// `profile_tape_execute` span (opened before the timed bracket starts)
+/// so `--chrome-trace` shows each one. The hot-op rows are exported as
+/// `dekg_tape_op_*` metrics; the global profiler is left disabled.
 ///
 /// # Panics
 /// When `batches`, `distinct` or `rounds` is zero, or the dataset has
@@ -297,6 +262,7 @@ pub fn profile_train_paired(
     let run = |i: usize, profiled: bool, bits: &mut Vec<u32>| -> (f64, u64) {
         let (batch, brng) = &slots[i % slots.len()];
         let mut brng = brng.clone();
+        let span = dekg_obs::span!("profile_tape_execute");
         prof::set_enabled(profiled);
         let started = Instant::now();
         let mut g = Graph::new();
@@ -304,6 +270,7 @@ pub fn profile_train_paired(
         let grads = g.backward(parts.total);
         let dt = started.elapsed().as_secs_f64();
         prof::set_enabled(false);
+        drop(span);
 
         if profiled {
             let key = dekg_tensor::tapecheck::structure_key(
@@ -355,6 +322,7 @@ pub fn profile_train_paired(
         if ratios.len() % 2 == 0 { (ratios[mid - 1] + ratios[mid]) / 2.0 } else { ratios[mid] };
     let snap = prof::snapshot();
     prof::reset();
+    export_metrics(&snap.ops);
     PairedProfile {
         report: ProfileReport {
             ops: snap.ops,
@@ -368,74 +336,4 @@ pub fn profile_train_paired(
         // More bits than one loss per run: the gradients were compared.
         outputs_identical: off_bits.len() > batches * rounds && off_bits == on_bits,
     }
-}
-
-/// Profiles `queries` mounted evaluation tapes (forward only — the
-/// `score_subgraphs_eval` path), each scoring one true link plus
-/// `candidates` tail corruptions. Extraction happens outside the timed
-/// bracket.
-///
-/// # Panics
-/// When `queries` or `candidates` is zero or the dataset has no links.
-pub fn profile_eval(
-    dataset: &DekgDataset,
-    seed: u64,
-    queries: usize,
-    candidates: usize,
-) -> ProfileReport {
-    assert!(queries > 0 && candidates > 0, "profile_eval needs queries > 0 and candidates > 0");
-    let links: &[Triple] = if dataset.test_enclosing.is_empty() {
-        dataset.original.triples()
-    } else {
-        &dataset.test_enclosing
-    };
-    assert!(!links.is_empty(), "profile_eval needs at least one link");
-
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let model = DekgIlp::new(profile_config(), dataset, &mut rng);
-    let graph = InferenceGraph::from_dataset(dataset);
-    let extractor = model.extractor(&graph);
-
-    prof::reset();
-    prof::set_enabled(true);
-    let mut span_seconds = 0.0f64;
-    let mut nodes = 0u64;
-    let mut executions = 0usize;
-    for q in 0..queries {
-        let truth = links[q % links.len()];
-        // The true link plus `candidates` deterministic tail
-        // corruptions; score values are irrelevant here, tape shape is.
-        let mut batch = vec![(truth.head, truth.tail)];
-        for c in 0..candidates {
-            let tail = EntityId(((truth.tail.0 as usize + c + 1) % graph.num_entities) as u32);
-            batch.push((truth.head, tail));
-        }
-        let links_spec: Vec<(EntityId, EntityId, Option<Triple>)> =
-            batch.iter().map(|&(h, t)| (h, t, None)).collect();
-        let subgraphs = extractor.extract_batch(&links_spec);
-        let items: Vec<(&Subgraph, dekg_kg::RelationId)> =
-            subgraphs.iter().map(|sg| (sg, truth.rel)).collect();
-
-        let span = dekg_obs::span!("profile_tape_execute");
-        let started = Instant::now();
-        let (g, scores) = model.gsm().record_eval_tape(model.params(), &items);
-        let dt = started.elapsed().as_secs_f64();
-        drop(span);
-        std::hint::black_box(&scores);
-
-        span_seconds += dt;
-        nodes += g.len() as u64;
-        executions += 1;
-        // `candidates > 0` is asserted above, so the batch always
-        // scores at least one tail and `scores` is never empty.
-        if let Some(&last) = scores.last() {
-            let key =
-                dekg_tensor::tapecheck::structure_key(&g, last, &scores, Some(model.params()));
-            prof::record_tape(key, g.len() as u64, dt);
-        }
-    }
-    prof::set_enabled(false);
-    let snap = prof::snapshot();
-    export_metrics(&snap.ops);
-    ProfileReport { ops: snap.ops, tapes: snap.tapes, span_seconds, batches: executions, nodes }
 }

@@ -1,5 +1,5 @@
-//! `dekg profile` reports: hot-op attribution, forward-only eval
-//! tapes, and the observer contract (profiling changes no bit).
+//! `dekg profile train` reports: hot-op attribution, structure
+//! folding, and the observer contract (profiling changes no bit).
 //!
 //! These tests live in their own binary because the kernel profiler's
 //! enable flag and tables are process globals: any test elsewhere in
@@ -8,8 +8,8 @@
 //! [`prof_lock`].
 
 use dekg_core::{
-    batch_loss_parts, prepare_batch, profile_eval, profile_train, profile_train_paired,
-    record_prepared, DekgIlp, DekgIlpConfig, InferenceGraph,
+    batch_loss_parts, prepare_batch, profile_train_paired, record_prepared, DekgIlp, DekgIlpConfig,
+    InferenceGraph,
 };
 use dekg_datasets::NegativeSampler;
 use dekg_kg::Triple;
@@ -28,7 +28,8 @@ fn prof_lock() -> std::sync::MutexGuard<'static, ()> {
 fn train_profile_folds_structures_and_attributes_time() {
     let _guard = prof_lock();
     let d = dekg_datasets::tiny_fixture(1);
-    let report = profile_train(&d, 0, 4, 2);
+    // One round: the `dekg profile train` call.
+    let report = profile_train_paired(&d, 0, 4, 2, 1).report;
     assert_eq!(report.batches, 4);
     assert!(!report.ops.is_empty(), "hot-op table must not be empty");
     // 4 executions over 2 distinct shapes fold to ≤ 2 keys with 4
@@ -53,18 +54,6 @@ fn train_profile_folds_structures_and_attributes_time() {
         rendered.contains("dekg_tape_op_calls_total{op=\"Matmul\",phase=\"fwd\"}"),
         "{rendered}"
     );
-}
-
-#[test]
-fn eval_profile_runs_forward_only() {
-    let _guard = prof_lock();
-    let d = dekg_datasets::tiny_fixture(2);
-    let report = profile_eval(&d, 0, 2, 5);
-    assert_eq!(report.batches, 2);
-    assert!(!report.ops.is_empty());
-    // Forward-only: no backward time anywhere.
-    assert!(report.ops.iter().all(|o| o.backward_calls == 0), "{:?}", report.ops);
-    assert!(report.attributed_seconds() > 0.0);
 }
 
 #[test]

@@ -30,4 +30,4 @@ pub use protocol::{
 };
 pub use ranking::{filtered_rank, rank_of, RankQuery};
 pub use report::Table;
-pub use timing::{time_inference_per_50, EvalPhases, EvalTiming, TimingResult};
+pub use timing::{time_inference_per_50, EvalTiming, TimingResult};

@@ -10,7 +10,7 @@
 
 use crate::metrics::{Metrics, RankAccumulator};
 use crate::ranking::{filtered_rank, RankQuery};
-use crate::timing::{EvalPhases, EvalTiming};
+use crate::timing::EvalTiming;
 use dekg_core::{InferenceGraph, LinkPredictor};
 use dekg_datasets::{DekgDataset, LinkClass, TestMix};
 use dekg_kg::{Triple, TripleStore};
@@ -156,8 +156,8 @@ pub fn evaluate_with_filter(
 
     let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("eval pool");
     // Bracket the fan-out with span snapshots: the delta isolates this
-    // run's extraction/scoring/ranking share even when other spans
-    // accumulated earlier in the process (e.g. training).
+    // run's spans even when others accumulated earlier in the process
+    // (e.g. training).
     let spans_before = dekg_obs::span_snapshot();
     let ranks: Vec<f64> = pool.install(|| {
         queries
@@ -175,7 +175,7 @@ pub fn evaluate_with_filter(
             })
             .collect()
     });
-    let phases = EvalPhases::from_span_delta(&dekg_obs::span_snapshot().diff(&spans_before));
+    let spans = dekg_obs::span_snapshot().diff(&spans_before);
 
     // Ordered fold of ranks into per-class and per-task accumulators.
     let mut enclosing = RankAccumulator::new();
@@ -197,8 +197,7 @@ pub fn evaluate_with_filter(
         enclosing: enclosing.finish(),
         bridging: bridging.finish(),
         by_task: cfg.tasks.iter().zip(&per_task).map(|(&t, acc)| (t, acc.finish())).collect(),
-        timing: EvalTiming::new(wall_seconds, queries.len(), links.len(), threads)
-            .with_phases(phases),
+        timing: EvalTiming::new(wall_seconds, queries.len(), links.len(), threads, spans),
     }
 }
 

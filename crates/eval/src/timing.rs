@@ -27,59 +27,9 @@ pub struct TimingResult {
     pub parameters: usize,
 }
 
-/// Per-phase breakdown of one evaluation run, derived from the
-/// `rank_query` / `score_batch` / `extract_subgraph` span totals that
-/// accumulated during the run (see `dekg_obs::span`).
-///
-/// The spans nest — extraction happens inside scoring, scoring inside
-/// ranking — so each phase's seconds are the *exclusive* share:
-/// `extraction + scoring + ranking` ≈ the total CPU-seconds spent in
-/// `rank_query` scopes. Seconds are CPU-time summed across workers
-/// (they exceed the wall clock on multi-threaded runs) and sit outside
-/// the determinism contract; counts are inside it. All zero when spans
-/// are disabled.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct EvalPhases {
-    /// CPU-seconds inside subgraph extraction.
-    pub extraction_seconds: f64,
-    /// Subgraph extractions performed.
-    pub extraction_count: u64,
-    /// CPU-seconds scoring batches, net of nested extraction.
-    pub scoring_seconds: f64,
-    /// Scoring batches run.
-    pub scoring_count: u64,
-    /// CPU-seconds in candidate construction and rank aggregation, net
-    /// of nested scoring.
-    pub ranking_seconds: f64,
-    /// Ranking queries completed.
-    pub ranking_count: u64,
-}
-
-impl EvalPhases {
-    /// Derives the breakdown from the span deltas accumulated over the
-    /// run (`delta = after.diff(&before)` around the query fan-out),
-    /// peeling each nested span's total out of its parent's.
-    pub fn from_span_delta(delta: &dekg_obs::SpanSnapshot) -> Self {
-        let get = |name: &str| delta.get(name).copied().unwrap_or_default();
-        let extract = get("extract_subgraph");
-        let score = get("score_batch");
-        let rank = get("rank_query");
-        EvalPhases {
-            extraction_seconds: extract.seconds,
-            extraction_count: extract.count,
-            scoring_seconds: (score.seconds - extract.seconds).max(0.0),
-            scoring_count: score.count,
-            ranking_seconds: (rank.seconds - score.seconds).max(0.0),
-            ranking_count: rank.count,
-        }
-    }
-}
-
 /// Wall-clock and throughput counters for one evaluation run, recorded
-/// by `evaluate_with_filter` and carried on `EvalResult`.
-///
-/// `PartialEq` deliberately ignores nothing — compare `Metrics` fields
-/// when asserting determinism; timing is measurement, not output.
+/// by `evaluate_with_filter` and carried on `EvalResult`. Timing is
+/// measurement, not output: assert determinism on `Metrics` fields.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EvalTiming {
     /// End-to-end wall-clock seconds for the protocol run.
@@ -92,31 +42,26 @@ pub struct EvalTiming {
     pub threads: usize,
     /// Queries per wall-clock second.
     pub queries_per_second: f64,
-    /// Span-derived per-phase breakdown (extraction / scoring / rank
-    /// aggregation).
-    pub phases: EvalPhases,
+    /// The spans that closed during the run's query fan-out
+    /// (`rank_query`, `score_batch`, `rgcn_layer_inference`,
+    /// `extract_subgraph`, ...). They nest, and their seconds are
+    /// CPU-seconds summed across workers; counts are deterministic.
+    /// Empty when spans are disabled.
+    pub spans: dekg_obs::SpanSnapshot,
 }
 
 impl EvalTiming {
     /// Builds the counters, deriving throughput from the wall clock.
-    pub fn new(wall_seconds: f64, queries: usize, links: usize, threads: usize) -> Self {
+    pub fn new(
+        wall_seconds: f64,
+        queries: usize,
+        links: usize,
+        threads: usize,
+        spans: dekg_obs::SpanSnapshot,
+    ) -> Self {
         let queries_per_second =
             if wall_seconds > 0.0 { queries as f64 / wall_seconds } else { 0.0 };
-        EvalTiming {
-            wall_seconds,
-            queries,
-            links,
-            threads,
-            queries_per_second,
-            phases: EvalPhases::default(),
-        }
-    }
-
-    /// Attaches a span-derived phase breakdown (builder-style).
-    #[must_use]
-    pub fn with_phases(mut self, phases: EvalPhases) -> Self {
-        self.phases = phases;
-        self
+        EvalTiming { wall_seconds, queries, links, threads, queries_per_second, spans }
     }
 }
 

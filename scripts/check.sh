@@ -107,6 +107,20 @@ cargo run -q --release --offline -p dekg-cli -- \
 cargo run -q --release --offline -p dekg-cli -- \
     obslint --file "$tmp/trace.jsonl" --require spans
 
+echo "==> evaluate smoke: metrics, span rows, obslint both"
+# Eval time is attributed by the batched engine's spans: the run's
+# span delta is printed as rows (name, count, seconds), and the sinks
+# carry the `eval` event and the span tables.
+cargo run -q --release --offline -p dekg-cli -- \
+    evaluate --data "$tmp/data" --ckpt "$tmp/model.dekg" --candidates 10 --log-level warn \
+    --metrics-out "$tmp/eval_metrics.jsonl" --trace-out "$tmp/eval_trace.jsonl" \
+    > "$tmp/eval.txt"
+cargo run -q --release --offline -p dekg-cli -- \
+    obslint --file "$tmp/eval_metrics.jsonl" --require eval
+cargo run -q --release --offline -p dekg-cli -- \
+    obslint --file "$tmp/eval_trace.jsonl" --require spans
+grep -q '^rank_query ' "$tmp/eval.txt"
+
 echo "==> kernel-profiler smoke: dekg profile train + obslint --chrome"
 # Replays the production training tape with the per-op profiler armed;
 # the hot-op table must attribute the bracket, and the Chrome trace it

@@ -1,14 +1,14 @@
-//! Offline stand-in for the subset of `criterion` this workspace's
-//! benches use: the [`Criterion`] builder, benchmark groups,
-//! [`BenchmarkId`], [`Bencher::iter`], and the
-//! [`criterion_group!`]/[`criterion_main!`] macros.
+//! Offline stand-in for the subset of `criterion` this workspace's one
+//! microbench (`bench_kernels`) uses: [`Criterion::default`], benchmark
+//! groups with [`BenchmarkGroup::bench_with_input`], [`BenchmarkId`],
+//! [`Bencher::iter`], and the plain [`criterion_group!`]/
+//! [`criterion_main!`] forms.
 //!
 //! Statistical analysis (outlier detection, regression fitting, HTML
 //! reports) is intentionally absent. `iter` warms up once, then times
-//! batches of calls against the configured measurement budget and
-//! prints the mean wall-clock time per iteration — enough to compare
-//! kernels locally while keeping the benches compiling and runnable
-//! offline.
+//! batches of calls against the measurement budget and prints the mean
+//! wall-clock time per iteration — enough to compare kernels locally
+//! while keeping the bench compiling and runnable offline.
 
 #![deny(unsafe_code)]
 
@@ -35,57 +35,9 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Sets the target number of timed samples.
-    pub fn sample_size(mut self, n: usize) -> Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Sets the measurement budget per benchmark.
-    pub fn measurement_time(mut self, d: Duration) -> Self {
-        self.measurement_time = d;
-        self
-    }
-
-    /// Sets the warm-up budget per benchmark.
-    pub fn warm_up_time(mut self, d: Duration) -> Self {
-        self.warm_up_time = d;
-        self
-    }
-
-    /// Runs a single named benchmark.
-    pub fn bench_function<F>(&mut self, id: impl std::fmt::Display, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        run_one(self, &id.to_string(), &mut f);
-        self
-    }
-
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup { config: self.clone(), name: name.into(), _parent: self }
-    }
-}
-
-fn run_one<F: FnMut(&mut Bencher)>(config: &Criterion, label: &str, f: &mut F) {
-    let mut bencher = Bencher {
-        sample_size: config.sample_size,
-        measurement_time: config.measurement_time,
-        warm_up_time: config.warm_up_time,
-        mean: None,
-        iterations: 0,
-    };
-    f(&mut bencher);
-    match bencher.mean {
-        // lint: print-ok — bench reporter: stdout IS the deliverable of a criterion run
-        Some(mean) => println!(
-            "bench: {label:<40} {:>12.3} ns/iter ({} iterations)",
-            mean.as_nanos() as f64,
-            bencher.iterations
-        ),
-        // lint: print-ok — bench reporter: stdout IS the deliverable of a criterion run
-        None => println!("bench: {label:<40} (no measurement)"),
     }
 }
 
@@ -97,28 +49,6 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Overrides the sample size for this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.config.sample_size = n.max(1);
-        self
-    }
-
-    /// Overrides the measurement budget for this group.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.config.measurement_time = d;
-        self
-    }
-
-    /// Runs a benchmark within the group.
-    pub fn bench_function<F>(&mut self, id: impl std::fmt::Display, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let label = format!("{}/{}", self.name, id);
-        run_one(&self.config, &label, &mut f);
-        self
-    }
-
     /// Runs a benchmark parameterized by `input`.
     // By-value `id` matches the real criterion signature.
     #[allow(clippy::needless_pass_by_value)]
@@ -127,7 +57,24 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let label = format!("{}/{}", self.name, id);
-        run_one(&self.config, &label, &mut |b: &mut Bencher| f(b, input));
+        let mut bencher = Bencher {
+            sample_size: self.config.sample_size,
+            measurement_time: self.config.measurement_time,
+            warm_up_time: self.config.warm_up_time,
+            mean: None,
+            iterations: 0,
+        };
+        f(&mut bencher, input);
+        match bencher.mean {
+            // lint: print-ok — bench reporter: stdout IS the deliverable of a criterion run
+            Some(mean) => println!(
+                "bench: {label:<40} {:>12.3} ns/iter ({} iterations)",
+                mean.as_nanos() as f64,
+                bencher.iterations
+            ),
+            // lint: print-ok — bench reporter: stdout IS the deliverable of a criterion run
+            None => println!("bench: {label:<40} (no measurement)"),
+        }
         self
     }
 
@@ -135,7 +82,7 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
-/// Identifies a benchmark by function name and/or parameter.
+/// Identifies a benchmark by function name and parameter.
 #[derive(Debug, Clone)]
 pub struct BenchmarkId {
     label: String,
@@ -145,11 +92,6 @@ impl BenchmarkId {
     /// A `function/parameter` id.
     pub fn new(function: impl std::fmt::Display, parameter: impl std::fmt::Display) -> Self {
         BenchmarkId { label: format!("{function}/{parameter}") }
-    }
-
-    /// An id carrying just a parameter value.
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId { label: parameter.to_string() }
     }
 }
 
@@ -201,18 +143,10 @@ impl Bencher {
     }
 }
 
-/// Bundles benchmark functions into a runner, mirroring criterion's
-/// two accepted forms (`name/config/targets` and plain list).
+/// Bundles benchmark functions into a runner over a default
+/// [`Criterion`] (criterion's plain-list form).
 #[macro_export]
 macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        // Generated runner: callers name it, rustdoc adds nothing.
-        #[allow(missing_docs)]
-        pub fn $name() {
-            let mut criterion: $crate::Criterion = $config;
-            $( $target(&mut criterion); )+
-        }
-    };
     ($name:ident, $($target:path),+ $(,)?) => {
         // Generated runner: callers name it, rustdoc adds nothing.
         #[allow(missing_docs)]
@@ -238,26 +172,17 @@ mod tests {
     use super::*;
 
     fn quick() -> Criterion {
-        Criterion::default()
-            .sample_size(3)
-            .measurement_time(Duration::from_millis(10))
-            .warm_up_time(Duration::from_millis(1))
-    }
-
-    #[test]
-    fn bench_function_runs_closure() {
-        let mut ran = 0u32;
-        quick().bench_function("trivial", |b| {
-            b.iter(|| ran += 1);
-        });
-        assert!(ran > 0);
+        Criterion {
+            sample_size: 2,
+            measurement_time: Duration::from_millis(10),
+            warm_up_time: Duration::from_millis(1),
+        }
     }
 
     #[test]
     fn group_labels_and_inputs() {
         let mut c = quick();
         let mut group = c.benchmark_group("g");
-        group.sample_size(2);
         let input = 21u64;
         let mut seen = 0u64;
         group.bench_with_input(BenchmarkId::new("double", input), &input, |b, &i| {
@@ -270,24 +195,19 @@ mod tests {
     #[test]
     fn id_formats() {
         assert_eq!(BenchmarkId::new("f", 3).to_string(), "f/3");
-        assert_eq!(BenchmarkId::from_parameter("p").to_string(), "p");
     }
 
     criterion_group!(plain_form, noop_bench);
-    criterion_group! {
-        name = config_form;
-        config = quick();
-        targets = noop_bench, noop_bench
-    }
 
     fn noop_bench(c: &mut Criterion) {
-        c.bench_function("noop", |b| b.iter(|| 1 + 1));
+        let mut group = c.benchmark_group("noop");
+        group.bench_with_input(BenchmarkId::new("add", 1), &1, |b, &i| b.iter(|| i + 1));
+        group.finish();
     }
 
     #[test]
     fn macro_forms_expand() {
-        // Both expansions must produce callable functions.
+        // The expansion must produce a callable function.
         let _: fn() = plain_form;
-        let _: fn() = config_form;
     }
 }
